@@ -18,7 +18,6 @@ from .ffield import (
 )
 from .parser import DslSyntaxError, parse_system
 from .polynomial import (
-    BigRational,
     IntPoly,
     RatPoly,
     bezout_cofactors,
@@ -64,7 +63,6 @@ from .system import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigRational",
     "ConsistencyError",
     "CountingFunction",
     "DslSyntaxError",

@@ -2,7 +2,7 @@
 
 
 class ScaleCapError(Exception):
-    """An enumeration or inclusion-exclusion size cap was exceeded."""
+    """A size cap was exceeded; the message names the cap."""
 
 
 class ConsistencyError(Exception):

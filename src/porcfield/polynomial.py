@@ -11,9 +11,6 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-# Exact rational scalar used throughout the package.
-BigRational = Fraction
-
 
 class IntPoly:
     """Immutable univariate polynomial with arbitrary-precision integer coefficients."""

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from ._gfpoly import gf_from_coeffs, gf_gcd, gf_roots
-from .errors import ConsistencyError
+from .errors import ConsistencyError, ScaleCapError
 from .polynomial import IntPoly, content_and_primitive, bezout_cofactors
 
 #: Largest Bezout modulus handled by the residue-profile construction.
@@ -184,8 +184,8 @@ def _canonicalize(alpha: Fraction, raw_terms) -> PorcExpression:
         if n == 0:
             # gcd(x, m) = pillai(m) - sum over the other shifted copies
             if m > ZERO_SHIFT_CAP:
-                raise ConsistencyError(
-                    f"zero shift with modulus {m} exceeds the rewrite cap"
+                raise ScaleCapError(
+                    f"zero shift with modulus {m} exceeds ZERO_SHIFT_CAP = {ZERO_SHIFT_CAP}"
                 )
             alpha += coeff * _pillai(m)
             for b in range(1, m):
@@ -338,12 +338,17 @@ def _solution_levels(hs, p: int, e: int) -> list[list[int]]:
                 continue
             if t_fixed is None:
                 if p > CHILD_ENUM_CAP:
-                    raise ConsistencyError("singular solution lift at a large prime")
+                    raise ScaleCapError(
+                        f"singular solution lift at prime {p} exceeds "
+                        f"CHILD_ENUM_CAP = {CHILD_ENUM_CAP}"
+                    )
                 cur.extend(c + t * pj1 for t in range(p))
             else:
                 cur.append(c + t_fixed * pj1)
         if len(cur) > CLASS_BUDGET:
-            raise ConsistencyError("solution class count exceeds budget")
+            raise ScaleCapError(
+                f"{len(cur)} solution classes mod {p}^{j} exceed CLASS_BUDGET = {CLASS_BUDGET}"
+            )
         if not cur:
             break
         levels.append(sorted(cur))
@@ -385,7 +390,9 @@ def _synthesize_factored(fs, f: IntPoly, m0: int) -> GcdPorcFunction:
             for c2, r2, m2 in terms:
                 new.append((c1 * c2, _crt(r1, m1, r2, m2), m1 * m2))
         if len(new) > TERM_BUDGET:
-            raise ConsistencyError("factored synthesis term count exceeds budget")
+            raise ScaleCapError(
+                f"{len(new)} factored synthesis terms exceed TERM_BUDGET = {TERM_BUDGET}"
+            )
         combined = new
     raw = [(Fraction(gamma * c), r, m) for c, r, m in combined]
     d = _canonicalize(Fraction(0), raw)

@@ -5,18 +5,23 @@ vectors of its equations followed by one membership row (q^n - 1)*e_i per
 unknown.  Counting solutions at a concrete q reduces to the elementary
 divisors of the evaluated matrix, or equivalently to the gcd of the
 evaluated maximal minors.
+
+All minors come from one exact routine: a column-by-column Laplace
+expansion that builds the j x j minors on the first j columns from the
+(j-1) x (j-1) ones, memoized by row subset.  No division is ever needed.
 """
 
 from __future__ import annotations
 
-import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, gcd
 
+from .errors import ScaleCapError
 from .polynomial import IntPoly
 
-#: Soft limit on the number of row subsets enumerated by maximal_minors.
+#: Limit on the number of row subsets enumerated by maximal_minors.
 DEFAULT_SUBSET_LIMIT = 10**6
 
 
@@ -59,70 +64,52 @@ def poly_det(rows: list[list[IntPoly]]) -> IntPoly:
     size = len(rows)
     if any(len(r) != size for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    if size <= 4:
-        return _det_cofactor(rows)
-    return _det_bareiss(rows)
+    return _leading_minors(rows, size).get(tuple(range(size)), IntPoly())
 
 
-def _det_cofactor(rows) -> IntPoly:
-    size = len(rows)
-    if size == 1:
-        return rows[0][0]
-    if size == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = IntPoly()
-    sign = 1
-    for i in range(size):
-        if rows[i][0]:
-            minor = [r[1:] for j, r in enumerate(rows) if j != i]
-            acc = acc + sign * (rows[i][0] * _det_cofactor(minor))
-        sign = -sign
-    return acc
+def _leading_minors(rows, k: int) -> dict[tuple[int, ...], IntPoly]:
+    """det(A[S, columns 0..k-1]) for every k-row subset S where it is nonzero.
 
-
-def _det_bareiss(rows) -> IntPoly:
-    # fraction-free elimination: every division below is exact in Z[q]
-    a = [list(r) for r in rows]
-    size = len(a)
-    sign = 1
-    prev = IntPoly.constant(1)
-    for t in range(size - 1):
-        if not a[t][t]:
-            for i in range(t + 1, size):
-                if a[i][t]:
-                    a[i], a[t] = a[t], a[i]
-                    sign = -sign
-                    break
-            else:
-                return IntPoly()
-        for i in range(t + 1, size):
-            for j in range(t + 1, size):
-                num = a[t][t] * a[i][j] - a[i][t] * a[t][j]
-                a[i][j] = num.exact_div(prev)
-            a[i][t] = IntPoly()
-        prev = a[t][t]
-    return sign * a[size - 1][size - 1]
+    Level j holds the j x j minors on the first j columns.  Each one at level
+    j+1 is the Laplace expansion along column j,
+    det(A[S, :j+1]) = sum over pos, i in S of
+    (-1)^(pos+j) * A[i][j] * det(A[S - {i}, :j]),
+    accumulated here by pushing every nonzero j-minor into the subsets that
+    add one row with a nonzero entry in column j.  Only nonzero minors are
+    stored, so a sparse membership row adds a single term per subset.
+    """
+    level = {(): IntPoly.constant(1)}
+    for j in range(k):
+        nxt: dict[tuple[int, ...], IntPoly] = {}
+        for subset, minor in level.items():
+            for i, row in enumerate(rows):
+                if not row[j] or i in subset:
+                    continue
+                pos = bisect_left(subset, i)
+                key = subset[:pos] + (i,) + subset[pos:]
+                term = -row[j] * minor if (pos + j) % 2 else row[j] * minor
+                nxt[key] = nxt[key] + term if key in nxt else term
+        level = {s: p for s, p in nxt.items() if p}
+    return level
 
 
 def maximal_minors(m: RelationMatrix, subset_limit: int = DEFAULT_SUBSET_LIMIT) -> list[IntPoly]:
     """Determinants of every k-row subset, in lexicographic subset order.
 
     Zero polynomials are kept so the list always has C(rows, k) entries.
-    The enumeration is warned about (not refused) past subset_limit.
+    More than subset_limit row subsets raise ScaleCapError before any work.
     """
     nrows = len(m.rows)
     if nrows < m.k:
         raise ValueError("fewer rows than columns")
     total = comb(nrows, m.k)
     if total > subset_limit:
-        warnings.warn(
-            f"enumerating {total} row subsets exceeds the soft limit {subset_limit}",
-            stacklevel=2,
+        raise ScaleCapError(
+            f"C({nrows}, {m.k}) = {total} row subsets exceed the subset limit {subset_limit}"
         )
-    out = []
-    for subset in combinations(range(nrows), m.k):
-        out.append(poly_det([list(m.rows[i]) for i in subset]))
-    return out
+    minors = _leading_minors(m.rows, m.k)
+    zero = IntPoly()
+    return [minors.get(subset, zero) for subset in combinations(range(nrows), m.k)]
 
 
 def evaluate_matrix(m: RelationMatrix, q0: int) -> list[list[int]]:

@@ -131,6 +131,10 @@ class TestExitCodes:
         assert main(["count", "--text", text, "--q", "3"]) == 2
         assert "blow-up" in capsys.readouterr().err
 
+    def test_porc_size_cap_is_2(self, capsys):
+        assert main(["gcd-porc", "--text", "x\n10007"]) == 2
+        assert "ZERO_SHIFT_CAP" in capsys.readouterr().err
+
     def test_missing_input_is_1(self, capsys):
         assert main(["count", "--q", "3"]) == 1
 

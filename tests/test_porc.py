@@ -20,7 +20,8 @@ from porcfield import (
     residue_gcd_profile,
     synthesize_gcd_function,
 )
-from porcfield.errors import ConsistencyError
+import porcfield.porc as porc
+from porcfield.errors import ConsistencyError, ScaleCapError
 from porcfield.porc import (
     LITERAL_MODULUS_CAP,
     PORC_ONE,
@@ -195,6 +196,17 @@ def test_factored_construction_agrees_with_literal():
         default = synthesize_gcd_function(fs)
         for x in range(-20, 21):
             assert porc_eval(forced.d, x) == porc_eval(default.d, x)
+
+
+@pytest.mark.parametrize(
+    "cap, value", [("CHILD_ENUM_CAP", 1), ("CLASS_BUDGET", 0), ("TERM_BUDGET", 1)]
+)
+def test_factored_size_caps_raise_scale_cap_error(monkeypatch, cap, value):
+    # x^2 and x^2+4 need a singular two-level lift at p = 2, which reaches every cap
+    monkeypatch.setattr(porc, "LITERAL_MODULUS_CAP", 0)
+    monkeypatch.setattr(porc, cap, value)
+    with pytest.raises(ScaleCapError, match=cap):
+        synthesize_gcd_function([P("x^2"), P("x^2+4")])
 
 
 def test_synthesis_soundness_random_sweep():

@@ -1,11 +1,15 @@
 """Relation matrices: construction, symbolic minors, evaluation."""
 
 import random
+from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 
 from porcfield import (
     IntPoly,
+    ScaleCapError,
     build_relation_matrix,
     divisor_product,
     evaluate_matrix,
@@ -18,7 +22,6 @@ from porcfield import (
     poly_det,
     smith_normal_form,
 )
-from porcfield.relmat import _det_bareiss, _det_cofactor
 
 Q2M1 = parse_poly("q^2-1")
 QP1 = parse_poly("q+1")
@@ -77,11 +80,12 @@ class TestMinors:
             minors = maximal_minors(m)
             assert minors == [membership_poly(n) ** k]
 
-    def test_soft_limit_warns_but_computes(self):
+    def test_subset_limit_raises(self):
         m = build_relation_matrix([(Q2M1, ZERO), (QP1, IntPoly([-2]))], 2, 2)
-        with pytest.warns(UserWarning, match="soft limit"):
-            minors = maximal_minors(m, subset_limit=3)
-        assert len(minors) == 6
+        limit_hit = r"C\(4, 2\) = 6 row subsets exceed the subset limit 5"
+        with pytest.raises(ScaleCapError, match=limit_hit):
+            maximal_minors(m, subset_limit=5)
+        assert len(maximal_minors(m, subset_limit=6)) == 6
 
 
 class TestEvaluate:
@@ -108,24 +112,70 @@ def _random_poly(rng, max_deg=2, bound=4):
     return IntPoly([rng.randint(-bound, bound) for _ in range(rng.randint(0, max_deg) + 1)])
 
 
-def test_determinant_matches_cofactor_expansion():
+def _random_entry(rng, max_deg=2, bound=4):
+    # about a third of the entries are zero, so the zero-skipping paths run
+    return ZERO if rng.random() < 0.3 else _random_poly(rng, max_deg, bound)
+
+
+def test_determinant_matches_integer_determinant():
     rng = random.Random(55)
-    for size in (1, 2, 3, 4):
-        for _ in range(30):
-            rows = [[_random_poly(rng) for _ in range(size)] for _ in range(size)]
-            assert _det_bareiss([r[:] for r in rows]) == _det_cofactor(rows)
-            assert poly_det(rows) == _det_cofactor(rows)
+    for size in range(1, 9):
+        for trial in range(12):
+            rows = [[_random_entry(rng) for _ in range(size)] for _ in range(size)]
+            if trial == 0 and size > 1:
+                rows[-1] = rows[0]
+            det = poly_det(rows)
+            for x in (0, 1, 2, -3, 5):
+                assert det(x) == _eval_det([[p(x) for p in row] for row in rows])
 
 
-def test_bareiss_on_larger_matrices_via_evaluation():
-    rng = random.Random(56)
-    for size in (5, 6):
-        for _ in range(10):
-            rows = [[_random_poly(rng, 1, 3) for _ in range(size)] for _ in range(size)]
-            det = _det_bareiss([r[:] for r in rows])
-            for x in (0, 1, 2, -3):
-                num = _int_det([[p(x) for p in row] for row in rows])
-                assert det(x) == num
+def test_determinant_rejects_non_square():
+    with pytest.raises(ValueError, match="non-square"):
+        poly_det([[QP1, QM1]])
+
+
+def test_maximal_minors_match_integer_determinants():
+    rng = random.Random(57)
+    shapes = [(k, e, 1 + (k + e) % 2) for k in range(1, 8) for e in range(5)]
+    shapes += [(8, 0, 2), (8, 2, 1), (8, 4, 2)]
+    for k, e, n in shapes:
+        eqs = [tuple(_random_entry(rng, 1, 3) for _ in range(k)) for _ in range(e)]
+        if e >= 2:
+            eqs[-1] = eqs[-2]  # a duplicated row
+        if e >= 3:
+            eqs[0] = (ZERO,) * k  # a zero row
+        matrix = build_relation_matrix(eqs, k, n)
+        minors = maximal_minors(matrix)
+        nrows = len(matrix.rows)
+        assert len(minors) == comb(nrows, k)
+        for q0 in (2, 3, 4):
+            evaluated = evaluate_matrix(matrix, q0)
+            for minor, subset in zip(minors, combinations(range(nrows), k)):
+                assert minor(q0) == _eval_det([evaluated[i] for i in subset]), (k, e, subset)
+
+
+def _eval_det(mat):
+    return _int_det(mat) if len(mat) <= 6 else _fraction_det(mat)
+
+
+def _fraction_det(mat):
+    a = [[Fraction(v) for v in row] for row in mat]
+    size = len(a)
+    det = Fraction(1)
+    for t in range(size):
+        pivot = next((i for i in range(t, size) if a[i][t]), None)
+        if pivot is None:
+            return 0
+        if pivot != t:
+            a[t], a[pivot] = a[pivot], a[t]
+            det = -det
+        det *= a[t][t]
+        for i in range(t + 1, size):
+            ratio = a[i][t] / a[t][t]
+            for j in range(t, size):
+                a[i][j] -= ratio * a[t][j]
+    assert det.denominator == 1
+    return det.numerator
 
 
 def _int_det(mat):
