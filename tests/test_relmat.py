@@ -117,16 +117,40 @@ def _random_entry(rng, max_deg=2, bound=4):
     return ZERO if rng.random() < 0.3 else _random_poly(rng, max_deg, bound)
 
 
-def test_determinant_matches_integer_determinant():
+def test_determinant_matches_cofactor_expansion():
     rng = random.Random(55)
-    for size in range(1, 9):
-        for trial in range(12):
+    for size in (1, 2, 3, 4):
+        for trial in range(30):
             rows = [[_random_entry(rng) for _ in range(size)] for _ in range(size)]
             if trial == 0 and size > 1:
+                rows[-1] = rows[0]
+            assert poly_det(rows) == _poly_cofactor(rows)
+
+
+def test_bareiss_on_larger_matrices_via_evaluation():
+    # sizes where a symbolic cofactor expansion in the test would be slow:
+    # compare with integer determinants of the evaluated matrix instead
+    rng = random.Random(56)
+    for size in (5, 6, 7, 8):
+        for trial in range(12):
+            rows = [[_random_entry(rng) for _ in range(size)] for _ in range(size)]
+            if trial == 0:
                 rows[-1] = rows[0]
             det = poly_det(rows)
             for x in (0, 1, 2, -3, 5):
                 assert det(x) == _eval_det([[p(x) for p in row] for row in rows])
+
+
+def _poly_cofactor(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    total = ZERO
+    for i, row in enumerate(rows):
+        if row[0] != ZERO:
+            minor = [r[1:] for j, r in enumerate(rows) if j != i]
+            term = row[0] * _poly_cofactor(minor)
+            total = total - term if i % 2 else total + term
+    return total
 
 
 def test_determinant_rejects_non_square():
