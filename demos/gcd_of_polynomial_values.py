@@ -16,7 +16,6 @@ from porcfield import (
     indicator_eval,
     parse_poly,
     porc_eval,
-    residue_gcd_profile,
     synthesize_gcd_function,
 )
 
@@ -30,11 +29,9 @@ print(f"family: {[str(p) for p in family]}")
 print(f"polynomial gcd f = {f.render('x')}")
 print(f"cofactors {[repr(c) for c in cofactors]} with denominator lcm m = {m}")
 
-profile = residue_gcd_profile(family, f, m)
-print(f"gcd/|f| per residue class mod {m}: {profile}")
-
 g = synthesize_gcd_function(family)
 print(f"closed form: gcd = {g.render('x')}   (residue modulus {g.m})")
+print(f"d = gcd/|f| per residue class mod {g.m}: {[int(porc_eval(g.d, a)) for a in range(g.m)]}")
 
 print("\nx | gcd(f1(x), f2(x)) | d(x)*|f(x)|")
 for x in range(2, 10):
@@ -56,7 +53,7 @@ print("values: ", [indicator_eval(scheme, x) for x in range(1, 13)])
 # A family with a large modulus
 # -----------------------------
 # Random-looking families put resultant-sized denominators into the Bezout
-# identity; the synthesis switches to a prime-by-prime construction and the
+# identity; the synthesis works prime by prime over that modulus, so the
 # result stays small.
 
 family = [parse_poly("x^5-3*x^2+7"), parse_poly("2*x^4+x-9")]

@@ -22,9 +22,7 @@ from .polynomial import (
     RatPoly,
     bezout_cofactors,
     content_and_primitive,
-    eval_poly,
     parse_poly,
-    rational_gcd,
 )
 from .porc import (
     GcdPorcFunction,
@@ -35,7 +33,6 @@ from .porc import (
     porc_canonicalize,
     porc_eval,
     porc_to_residue_table,
-    residue_gcd_profile,
     synthesize_gcd_function,
 )
 from .relmat import (
@@ -86,7 +83,6 @@ __all__ = [
     "count_at",
     "counting_eval",
     "divisor_product",
-    "eval_poly",
     "evaluate_matrix",
     "exponent_space_count",
     "indicator_eval",
@@ -101,8 +97,6 @@ __all__ = [
     "porc_canonicalize",
     "porc_eval",
     "porc_to_residue_table",
-    "rational_gcd",
-    "residue_gcd_profile",
     "smith_normal_form",
     "split_prime_power",
     "synthesize_counting_function",

@@ -117,10 +117,21 @@ class IntPoly:
 
     def exact_div(self, other: "IntPoly") -> "IntPoly":
         """Exact quotient self / other in Z[x]; raises if the division is not exact."""
-        q, r = divmod(RatPoly.from_int(self), RatPoly.from_int(other))
-        if r or not q.is_integral():
+        if not other:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        dn = len(other.coeffs)
+        quot = [0] * max(len(rem) - dn + 1, 0)
+        for i in range(len(quot) - 1, -1, -1):
+            c, r = divmod(rem[i + dn - 1], other.leading)
+            if r:
+                raise ValueError("inexact polynomial division")
+            quot[i] = c
+            for j, oc in enumerate(other.coeffs):
+                rem[i + j] -= c * oc
+        if any(rem):
             raise ValueError("inexact polynomial division")
-        return q.to_int_poly()
+        return IntPoly(quot)
 
     def render(self, var: str = "q") -> str:
         """Canonical compact text form, terms in descending degree."""
@@ -270,11 +281,6 @@ class RatPoly:
         return f"RatPoly({[str(c) for c in self.coeffs]!r})"
 
 
-def eval_poly(p: IntPoly, x: int) -> int:
-    """Exact value of p at the integer x."""
-    return p(x)
-
-
 def content_and_primitive(p: IntPoly) -> tuple[int, IntPoly]:
     """Split p into content * primitive part.
 
@@ -310,15 +316,6 @@ def _primitive_scale(g: RatPoly) -> tuple[IntPoly, Fraction]:
     cleared = (g * den).to_int_poly()
     c, prim = content_and_primitive(cleared)
     return prim, Fraction(c, den)
-
-
-def rational_gcd(fs) -> IntPoly:
-    """Greatest common divisor of the family in Q[x].
-
-    Returned as the primitive integer polynomial with positive leading
-    coefficient; zero members of the family are ignored.
-    """
-    return bezout_cofactors(fs)[0]
 
 
 def bezout_cofactors(fs) -> tuple[IntPoly, list[RatPoly], int]:

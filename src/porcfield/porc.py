@@ -9,14 +9,13 @@ the polynomial gcd of the family and d is periodic, expressible as
 with rational coefficients, moduli m_i > 1 and shifts 0 < n_i < m_i.  This
 module computes that expression exactly.
 
-Two equivalent constructions are used.  For a small residue modulus the
-textbook route profiles d on every residue class and combines shifted
-indicator functions.  When the modulus is large (for random families it is
-resultant-sized, far beyond any per-residue loop) the function is factored
-prime by prime: the solution classes of h_i(x) = 0 mod p^j are found by
-root extraction and Hensel-style lifting, each contributing a difference
+The construction works prime by prime over the Bezout denominator modulus
+(for random families it is resultant-sized, far beyond any per-residue
+loop): the solution classes of h_i(x) = 0 mod p^j are found by root
+extraction and Hensel-style lifting, each contributing a difference
 gcd(x-c, p^j) - gcd(x-c, p^(j-1)), and the per-prime pieces are multiplied
-out via CRT.
+out via CRT.  Only the prime factorization of the modulus enters the
+result, so the closed form does not depend on the order of the family.
 """
 
 from __future__ import annotations
@@ -29,8 +28,9 @@ from ._gfpoly import gf_from_coeffs, gf_gcd, gf_roots
 from .errors import ConsistencyError, ScaleCapError
 from .polynomial import IntPoly, content_and_primitive, bezout_cofactors
 
-#: Largest Bezout modulus handled by the residue-profile construction.
-LITERAL_MODULUS_CAP = 360
+#: Not read by the package; only the benchmark's route counter reads it, and with
+#: 1 it counts every family with a Bezout modulus above 1 as factored.
+LITERAL_MODULUS_CAP = 1
 #: Largest modulus for which a shift of 0 is rewritten via the constant-sum identity.
 ZERO_SHIFT_CAP = 10_000
 #: Caps on intermediate sizes in the factored construction.
@@ -131,13 +131,6 @@ def _factorize(n: int) -> dict[int, int]:
     return {int(p): int(e) for p, e in factorint(n).items()}
 
 
-def _divisors(n: int) -> list[int]:
-    out = [1]
-    for p, e in _factorize(n).items():
-        out = [d * p**i for d in out for i in range(e + 1)]
-    return sorted(out)
-
-
 def build_indicator(m: int) -> IndicatorScheme:
     """Subset-sum scheme for the indicator of 0 mod m, over all 2^|S| subsets."""
     if m <= 1:
@@ -201,15 +194,9 @@ def _canonicalize(alpha: Fraction, raw_terms) -> PorcExpression:
     return PorcExpression(alpha=alpha, terms=terms)
 
 
-def porc_canonicalize(e: PorcExpression, valid_moduli=None) -> PorcExpression:
+def porc_canonicalize(e: PorcExpression) -> PorcExpression:
     """Reduce shifts into (0, m_i), clear zero shifts, merge and drop terms."""
-    out = _canonicalize(e.alpha, e.terms)
-    if valid_moduli is not None:
-        allowed = set(valid_moduli)
-        for _, _, m in out.terms:
-            if m not in allowed:
-                raise ConsistencyError(f"modulus {m} outside the permitted divisors")
-    return out
+    return _canonicalize(e.alpha, e.terms)
 
 
 def check_porc_invariants(e: PorcExpression) -> None:
@@ -217,35 +204,14 @@ def check_porc_invariants(e: PorcExpression) -> None:
     seen = set()
     for coeff, n, m in e.terms:
         if m <= 1:
-            raise ValueError(f"modulus {m} must exceed 1")
+            raise ConsistencyError(f"modulus {m} must exceed 1")
         if not 0 < n < m:
-            raise ValueError(f"shift {n} outside (0, {m})")
+            raise ConsistencyError(f"shift {n} outside (0, {m})")
         if not coeff:
-            raise ValueError("zero coefficient retained")
+            raise ConsistencyError("zero coefficient retained")
         if (n, m) in seen:
-            raise ValueError(f"duplicate term ({n}, {m})")
+            raise ConsistencyError(f"duplicate term ({n}, {m})")
         seen.add((n, m))
-
-
-def residue_gcd_profile(fs, f: IntPoly, m: int) -> list[int]:
-    """d(a) = gcd of the family values / |f| at one representative per class.
-
-    Entry a (1-based) uses the smallest x >= a with x = a mod m and f(x) != 0.
-    """
-    fs = [p for p in fs if p]
-    profile = []
-    for a in range(1, m + 1):
-        x = a
-        while f(x) == 0:
-            x += m
-        g = 0
-        for p in fs:
-            g = gcd(g, p(x))
-        d, rem = divmod(g, abs(f(x)))
-        if rem:
-            raise ConsistencyError("family gcd not divisible by the polynomial gcd value")
-        profile.append(d)
-    return profile
 
 
 def synthesize_gcd_function(fs) -> GcdPorcFunction:
@@ -257,36 +223,7 @@ def synthesize_gcd_function(fs) -> GcdPorcFunction:
     f, _, m0 = bezout_cofactors(fs)
     if m0 == 1:
         return GcdPorcFunction(f=f, d=PORC_ONE, m=1)
-    if m0 <= LITERAL_MODULUS_CAP:
-        return _synthesize_literal(fs, f, m0)
     return _synthesize_factored(fs, f, m0)
-
-
-def _synthesize_literal(fs, f: IntPoly, m0: int) -> GcdPorcFunction:
-    profile = residue_gcd_profile(fs, f, m0)
-    period = m0
-    for cand in _divisors(m0):
-        if all(profile[i] == profile[i % cand] for i in range(m0)):
-            period = cand
-            break
-    m = lcm(period, *profile)
-    if m == 1:
-        return GcdPorcFunction(f=f, d=PORC_ONE, m=1)
-    scheme = build_indicator(m)
-    # d(x) = 1 + sum over classes a with d(a) > 1 of (d(a)-1)/c * k(x-a),
-    # using that the scaled indicators over a full residue system sum to 1
-    alpha = Fraction(1)
-    raw = []
-    for i in range(m):
-        w = profile[i % period] - 1
-        if not w:
-            continue
-        a = i + 1
-        for sign, mod in scheme.terms:
-            raw.append((Fraction(w * sign, scheme.c), a, mod))
-    d = _canonicalize(alpha, raw)
-    check_porc_invariants(d)
-    return GcdPorcFunction(f=f, d=d, m=m)
 
 
 def _crt(r1: int, m1: int, r2: int, m2: int) -> int:

@@ -1,10 +1,16 @@
 """Command-line surface: output goldens, exit codes, JSON round trips."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from porcfield import parse_system, synthesize_counting_function, synthesize_gcd_function
+from porcfield import (
+    PorcExpression,
+    parse_system,
+    synthesize_counting_function,
+    synthesize_gcd_function,
+)
 from porcfield.cli import main
 from porcfield.jsonio import (
     counting_function_from_dict,
@@ -40,6 +46,19 @@ class TestSynthesize:
     def test_inline_text_input(self, capsys):
         assert main(["synthesize", "--text", "field GF(q^2); vars x"]) == 0
         assert capsys.readouterr().out.strip() == "q^2-1"
+
+    def test_equation_order_does_not_change_output(self, capsys):
+        eqs = [
+            "eq x1^(3*q-4)*x2^(q+2) = 1",
+            "eq x1^(3*q)*x2^(-q) = 1",
+            "eq x1^(2*q-2)*x2^(3*q-1) = 1",
+        ]
+        outputs = []
+        for order in (eqs, eqs[::-1]):
+            text = "field GF(q^2); vars x1, x2; " + "; ".join(order)
+            assert main(["synthesize", "--text", text]) == 0
+            outputs.append(capsys.readouterr().out.strip())
+        assert outputs == ["gcd(q-3,4)", "gcd(q-3,4)"]
 
 
 class TestCount:
@@ -134,6 +153,15 @@ class TestExitCodes:
     def test_porc_size_cap_is_2(self, capsys):
         assert main(["gcd-porc", "--text", "x\n10007"]) == 2
         assert "ZERO_SHIFT_CAP" in capsys.readouterr().err
+
+    def test_invariant_failure_is_3(self, capsys, monkeypatch):
+        import porcfield.porc as porc_mod
+
+        # a canonicalization that keeps a zero shift breaks the invariants
+        broken = PorcExpression(Fraction(0), ((Fraction(1), 0, 2),))
+        monkeypatch.setattr(porc_mod, "_canonicalize", lambda alpha, raw: broken)
+        assert main(["gcd-porc", "--text", "x^2+x\nx^2-x"]) == 3
+        assert "internal consistency error: shift 0 outside (0, 2)" in capsys.readouterr().err
 
     def test_missing_input_is_1(self, capsys):
         assert main(["count", "--q", "3"]) == 1

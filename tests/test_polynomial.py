@@ -10,9 +10,7 @@ from porcfield import (
     RatPoly,
     bezout_cofactors,
     content_and_primitive,
-    eval_poly,
     parse_poly,
-    rational_gcd,
 )
 
 
@@ -22,18 +20,18 @@ def P(text):
 
 class TestEvalPoly:
     def test_quadratic_at_3(self):
-        assert eval_poly(P("q^2-1"), 3) == 8
+        assert P("q^2-1")(3) == 8
 
     def test_zero_polynomial(self):
-        assert eval_poly(IntPoly(), 12345) == 0
+        assert IntPoly()(12345) == 0
 
     def test_order_p6_leading_part_at_5(self):
         # 75 + 195 + 344, worked by hand
-        assert eval_poly(P("3*q^2+39*q+344"), 5) == 614
+        assert P("3*q^2+39*q+344")(5) == 614
 
     def test_huge_point_is_exact(self):
         x = 10**30
-        assert eval_poly(P("q^3-q"), x) == x**3 - x
+        assert P("q^3-q")(x) == x**3 - x
 
 
 class TestContentAndPrimitive:
@@ -53,20 +51,20 @@ class TestContentAndPrimitive:
 
 class TestRationalGcd:
     def test_one_euclid_step(self):
-        assert rational_gcd([P("x^2-1"), P("x^3-1")]) == P("x-1")
+        assert bezout_cofactors([P("x^2-1"), P("x^3-1")])[0] == P("x-1")
 
     def test_difference_is_2x(self):
-        assert rational_gcd([P("x^2+x"), P("x^2-x")]) == P("x")
+        assert bezout_cofactors([P("x^2+x"), P("x^2-x")])[0] == P("x")
 
     def test_gcd_with_itself_is_primitive(self):
-        assert rational_gcd([P("2*x+2"), P("2*x+2")]) == P("x+1")
+        assert bezout_cofactors([P("2*x+2"), P("2*x+2")])[0] == P("x+1")
 
     def test_zero_members_skipped(self):
-        assert rational_gcd([IntPoly(), P("x^2-1"), IntPoly(), P("x^3-1")]) == P("x-1")
+        assert bezout_cofactors([IntPoly(), P("x^2-1"), IntPoly(), P("x^3-1")])[0] == P("x-1")
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError, match="undefined"):
-            rational_gcd([IntPoly(), IntPoly()])
+            bezout_cofactors([IntPoly(), IntPoly()])
 
 
 class TestBezoutCofactors:
@@ -129,7 +127,7 @@ def test_gcd_divides_every_member():
         fs = _random_family(rng)
         if all(not f for f in fs):
             continue
-        f = rational_gcd(fs)
+        f = bezout_cofactors(fs)[0]
         assert f.leading > 0
         assert content_and_primitive(f)[0] == 1
         for fi in fs:
@@ -148,6 +146,29 @@ def test_content_primitive_roundtrip():
         assert c * prim == p
         assert prim.leading > 0
         assert content_and_primitive(prim)[0] == 1
+
+
+class TestExactDiv:
+    def test_quotients_of_random_products(self):
+        rng = random.Random(2113)
+        for _ in range(200):
+            a = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 5))])
+            b = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 5))])
+            if not b:
+                continue
+            assert (a * b).exact_div(b) == a
+
+    def test_nonzero_remainder_raises(self):
+        with pytest.raises(ValueError, match="inexact"):
+            P("x^2").exact_div(P("x+1"))
+
+    def test_non_integral_quotient_raises(self):
+        with pytest.raises(ValueError, match="inexact"):
+            P("x+1").exact_div(P("2*x+2"))
+
+    def test_division_by_zero_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            P("x").exact_div(IntPoly())
 
 
 def test_evaluation_is_ring_homomorphism():
