@@ -11,6 +11,7 @@ closed forms and inspects their ingredients.
 from math import gcd
 
 from porcfield import (
+    IntPoly,
     bezout_cofactors,
     build_indicator,
     indicator_eval,
@@ -27,7 +28,10 @@ family = [parse_poly("x^2+x"), parse_poly("x^2-x")]
 f, cofactors, m = bezout_cofactors(family)
 print(f"family: {[str(p) for p in family]}")
 print(f"polynomial gcd f = {f.render('x')}")
-print(f"cofactors {[repr(c) for c in cofactors]} with denominator lcm m = {m}")
+# integer cofactors G_i with sum(f_i * G_i) = m * f: m is the Bezout modulus
+assert sum((p * c for p, c in zip(family, cofactors)), IntPoly()) == f * m
+print(f"integer cofactors {[c.render('x') for c in cofactors]} "
+      f"with sum(f_i*G_i) = m*f for Bezout modulus m = {m}")
 
 g = synthesize_gcd_function(family)
 print(f"closed form: gcd = {g.render('x')}   (residue modulus {g.m})")
@@ -52,14 +56,16 @@ print("values: ", [indicator_eval(scheme, x) for x in range(1, 13)])
 ###############################################################################
 # A family with a large modulus
 # -----------------------------
-# Random-looking families put resultant-sized denominators into the Bezout
+# Random-looking families put a resultant-sized modulus into the Bezout
 # identity; the synthesis works prime by prime over that modulus, so the
 # result stays small.
 
 family = [parse_poly("x^5-3*x^2+7"), parse_poly("2*x^4+x-9")]
-f, _, m = bezout_cofactors(family)
+f, cofactors, m = bezout_cofactors(family)
+assert sum((p * c for p, c in zip(family, cofactors)), IntPoly()) == f * m
 print(f"\nfamily: {[str(p) for p in family]}")
 print(f"f = {f.render('x')}, Bezout modulus m = {m}")
+print(f"integer cofactors {[c.render('x') for c in cofactors]}")
 g = synthesize_gcd_function(family)
 print(f"closed form d = {g.d.render('x')}   (modulus {g.m}, {len(g.d.terms)} terms)")
 probes = [-11, 3, 50, 1234]

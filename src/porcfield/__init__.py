@@ -19,7 +19,6 @@ from .ffield import (
 from .parser import DslSyntaxError, parse_system
 from .polynomial import (
     IntPoly,
-    RatPoly,
     bezout_cofactors,
     content_and_primitive,
     parse_poly,
@@ -72,7 +71,6 @@ __all__ = [
     "MonomialSystem",
     "NEQ",
     "PorcExpression",
-    "RatPoly",
     "RelationMatrix",
     "ScaleCapError",
     "bezout_cofactors",

@@ -41,42 +41,48 @@ def _add_input_args(sub):
     sub.add_argument("--text", help="inline input text instead of a file")
 
 
-def _add_common(sub):
+def _add_format(sub):
     sub.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def _add_max_neq(sub):
     sub.add_argument("--max-neq", type=int, default=20,
                      help="inclusion-exclusion cap on inequations")
-    sub.add_argument("--max-enum", type=int, default=10**6,
-                     help="cap on enumerated oracle tuples")
 
 
 def build_parser() -> argparse.ArgumentParser:
     root = _ArgumentParser(prog="porcfield")
     subs = root.add_subparsers(dest="command", required=True)
 
-    s = subs.add_parser("synthesize", parents=[], help="closed-form counting function")
+    s = subs.add_parser("synthesize", help="closed-form counting function")
     _add_input_args(s)
-    _add_common(s)
+    _add_format(s)
+    _add_max_neq(s)
     s.set_defaults(func=_cmd_synthesize)
 
     s = subs.add_parser("count", help="solution count at one q")
     _add_input_args(s)
-    _add_common(s)
+    _add_format(s)
+    _add_max_neq(s)
     s.add_argument("--q", type=int, required=True)
     s.set_defaults(func=_cmd_count)
 
     s = subs.add_parser("gcd-porc", help="closed form of a gcd of polynomial values")
     _add_input_args(s)
-    _add_common(s)
+    _add_format(s)
     s.set_defaults(func=_cmd_gcd_porc)
 
     s = subs.add_parser("table", help="residue-class polynomial table")
     _add_input_args(s)
-    _add_common(s)
+    _add_format(s)
+    _add_max_neq(s)
     s.set_defaults(func=_cmd_table)
 
     s = subs.add_parser("verify", help="cross-check counts against the oracles")
     _add_input_args(s)
-    _add_common(s)
+    _add_max_neq(s)
+    s.add_argument("--max-enum", type=int, default=10**6,
+                   help="cap on enumerated oracle tuples")
     s.add_argument("--q-range", default="2:9", help="inclusive lo:hi range of q values")
     s.set_defaults(func=_cmd_verify)
     return root

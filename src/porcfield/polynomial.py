@@ -1,15 +1,16 @@
-"""Exact univariate polynomial arithmetic over the integers and rationals.
+"""Exact univariate polynomial arithmetic over the integers.
 
-Coefficients are Python ints / fractions.Fraction, so every operation is
-exact at arbitrary precision.  Coefficient lists are stored ascending by
-degree; the zero polynomial has an empty coefficient tuple.
+Coefficients are Python ints, so every operation is exact at arbitrary
+precision, and no step ever leaves Z[x]: division is pseudo-division, and
+the Bezout cofactors of a family carry one common integer denominator.
+Coefficient lists are stored ascending by degree; the zero polynomial has
+an empty coefficient tuple.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 class IntPoly:
@@ -117,21 +118,10 @@ class IntPoly:
 
     def exact_div(self, other: "IntPoly") -> "IntPoly":
         """Exact quotient self / other in Z[x]; raises if the division is not exact."""
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn = len(other.coeffs)
-        quot = [0] * max(len(rem) - dn + 1, 0)
-        for i in range(len(quot) - 1, -1, -1):
-            c, r = divmod(rem[i + dn - 1], other.leading)
-            if r:
-                raise ValueError("inexact polynomial division")
-            quot[i] = c
-            for j, oc in enumerate(other.coeffs):
-                rem[i + j] -= c * oc
-        if any(rem):
+        q, r, k = _pseudo_divmod(self, other)
+        if r or any(c % k for c in q.coeffs):
             raise ValueError("inexact polynomial division")
-        return IntPoly(quot)
+        return _scale_down(q, k)
 
     def render(self, var: str = "q") -> str:
         """Canonical compact text form, terms in descending degree."""
@@ -162,125 +152,6 @@ class IntPoly:
         return f"IntPoly({list(self.coeffs)!r})"
 
 
-class RatPoly:
-    """Immutable univariate polynomial with exact rational coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def from_int(cls, p: IntPoly) -> "RatPoly":
-        return cls(p.coeffs)
-
-    @classmethod
-    def zero(cls) -> "RatPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "RatPoly":
-        return cls((1,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def leading(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatPoly((other,))
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __neg__(self):
-        return RatPoly(tuple(-c for c in self.coeffs))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatPoly((other,))
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(out)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatPoly((other,))
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatPoly(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        if not self or not other:
-            return RatPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return RatPoly(out)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __divmod__(self, other: "RatPoly"):
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quot = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        dlead = other.leading
-        dn = len(other.coeffs)
-        for i in range(len(rem) - dn, -1, -1):
-            c = rem[i + dn - 1] / dlead
-            if c:
-                quot[i] = c
-                for j, oc in enumerate(other.coeffs):
-                    rem[i + j] -= c * oc
-        return RatPoly(quot), RatPoly(rem)
-
-    def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def to_int_poly(self) -> IntPoly:
-        if not self.is_integral():
-            raise ValueError("polynomial has non-integer coefficients")
-        return IntPoly(tuple(c.numerator for c in self.coeffs))
-
-    def denominator_lcm(self) -> int:
-        out = 1
-        for c in self.coeffs:
-            out = lcm(out, c.denominator)
-        return out
-
-    def __repr__(self):
-        return f"RatPoly({[str(c) for c in self.coeffs]!r})"
-
-
 def content_and_primitive(p: IntPoly) -> tuple[int, IntPoly]:
     """Split p into content * primitive part.
 
@@ -297,32 +168,71 @@ def content_and_primitive(p: IntPoly) -> tuple[int, IntPoly]:
     return c, IntPoly(tuple(a // c for a in p.coeffs))
 
 
-def _ext_gcd(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly, RatPoly]:
-    # extended Euclid in Q[x]: returns (g, u, v) with u*a + v*b = g
-    r0, r1 = a, b
-    s0, s1 = RatPoly.one(), RatPoly.zero()
-    t0, t1 = RatPoly.zero(), RatPoly.one()
-    while r1:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return r0, s0, t0
+def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly, int]:
+    """(q, r, k) with k*a = q*b + r, deg r < deg b, k = lc(b)^max(deg a - deg b + 1, 0)."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    lc = b.leading
+    rem = list(a.coeffs)
+    dn = len(b.coeffs)
+    steps = max(len(rem) - dn + 1, 0)
+    quot = [0] * steps
+    for i in range(steps - 1, -1, -1):
+        # rem <- lc*rem - c*x^i*b cancels the top coefficient c
+        c = rem.pop()
+        quot[i] = c
+        rem = [x * lc for x in rem]
+        if c:
+            for j, bc in enumerate(b.coeffs[:-1]):
+                rem[i + j] -= c * bc
+    # quot[i] was set with i steps to go, each of which scales by lc
+    power = 1
+    for i in range(steps):
+        quot[i] *= power
+        power *= lc
+    return IntPoly(quot), IntPoly(rem), power
 
 
-def _primitive_scale(g: RatPoly) -> tuple[IntPoly, Fraction]:
-    # write g = scale * f with f a primitive positive-leading integer polynomial
-    den = g.denominator_lcm()
-    cleared = (g * den).to_int_poly()
-    c, prim = content_and_primitive(cleared)
-    return prim, Fraction(c, den)
+def _scale_down(p: IntPoly, k: int) -> IntPoly:
+    return IntPoly(tuple(c // k for c in p.coeffs))
 
 
-def bezout_cofactors(fs) -> tuple[IntPoly, list[RatPoly], int]:
-    """Gcd f of the family plus rational cofactors g_i with sum(f_i*g_i) = f.
+def _ext_euclid(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly, IntPoly]:
+    """(h, s, t) with s*a + t*b = h, a nonzero integer multiple of gcd(a, b).
 
-    Returns (f, cofactors, m) where m is the lcm of all denominators
-    appearing in the cofactors (1 when they are all integral).  Zero members
+    Fraction-free extended Euclid on nonzero a, b: every pseudo-remainder
+    triple is a scalar multiple of the triple over Q[x], and is divided by
+    the gcd of its coefficients to keep the integers small.
+    """
+    r0, s0, t0 = a, IntPoly((1,)), IntPoly()
+    r1, s1, t1 = b, IntPoly(), IntPoly((1,))
+    while True:
+        q, r, k = _pseudo_divmod(r0, r1)
+        if not r:
+            return r1, s1, t1
+        s, t = s0 * k - q * s1, t0 * k - q * t1
+        c = gcd(*r.coeffs, *s.coeffs, *t.coeffs)
+        r0, s0, t0 = r1, s1, t1
+        r1, s1, t1 = _scale_down(r, c), _scale_down(s, c), _scale_down(t, c)
+
+
+def _lowest_terms(cofs: dict[int, IntPoly], m: int) -> tuple[dict[int, IntPoly], int]:
+    # divide the cofactors and their denominator m by the content they share, m > 0
+    k = gcd(m, *(c for p in cofs.values() for c in p.coeffs))
+    if m < 0:
+        k = -k
+    if k == 1:
+        return cofs, m
+    return {j: _scale_down(p, k) for j, p in cofs.items()}, m // k
+
+
+def bezout_cofactors(fs) -> tuple[IntPoly, list[IntPoly], int]:
+    """Gcd f of the family plus integer cofactors G_i with sum(f_i*G_i) = m*f.
+
+    Returns (f, cofactors, m): f is primitive with a positive leading
+    coefficient, and m >= 1 shares no factor with every coefficient of the
+    cofactors, so G_i / m are the rational cofactors the extended Euclid
+    over Q[x] gives and m is the lcm of their denominators.  Zero members
     get a zero cofactor; an all-zero family is an error.
     """
     fs = list(fs)
@@ -330,19 +240,16 @@ def bezout_cofactors(fs) -> tuple[IntPoly, list[RatPoly], int]:
     if not live:
         raise ValueError("gcd of an all-zero family is undefined")
     i0, p0 = live[0]
-    g, scale = _primitive_scale(RatPoly.from_int(p0))
-    cofs: dict[int, RatPoly] = {i0: RatPoly((1 / scale,))}
+    c, g = content_and_primitive(p0)
+    cofs, m = _lowest_terms({i0: IntPoly((1,))}, c)
     for i, p in live[1:]:
-        g2, u, v = _ext_gcd(RatPoly.from_int(g), RatPoly.from_int(p))
-        g, scale = _primitive_scale(g2)
-        inv = 1 / scale
-        cofs = {j: (u * c) * inv for j, c in cofs.items()}
-        cofs[i] = v * inv
-    gs = [cofs.get(i, RatPoly.zero()) for i in range(len(fs))]
-    m = 1
-    for gp in gs:
-        m = lcm(m, gp.denominator_lcm())
-    return g, gs, m
+        # invariant: sum(f_j * cofs[j]) = m * g over the members seen so far
+        h, u, v = _ext_euclid(g, p)
+        c, g = content_and_primitive(h)
+        cofs = {j: u * cof for j, cof in cofs.items()}
+        cofs[i] = v * m
+        cofs, m = _lowest_terms(cofs, m * c)
+    return g, [cofs.get(i, IntPoly()) for i in range(len(fs))], m
 
 
 _POLY_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|(\^)|(\*)|(\+)|(-)|(.))")

@@ -9,13 +9,14 @@ the polynomial gcd of the family and d is periodic, expressible as
 with rational coefficients, moduli m_i > 1 and shifts 0 < n_i < m_i.  This
 module computes that expression exactly.
 
-The construction works prime by prime over the Bezout denominator modulus
-(for random families it is resultant-sized, far beyond any per-residue
-loop): the solution classes of h_i(x) = 0 mod p^j are found by root
-extraction and Hensel-style lifting, each contributing a difference
-gcd(x-c, p^j) - gcd(x-c, p^(j-1)), and the per-prime pieces are multiplied
-out via CRT.  Only the prime factorization of the modulus enters the
-result, so the closed form does not depend on the order of the family.
+The construction works prime by prime over the Bezout modulus m, with
+sum(f_i * G_i) = m * f for integer cofactors G_i (for random families m is
+resultant-sized, far beyond any per-residue loop): the solution classes of
+h_i(x) = 0 mod p^j are found by root extraction and Hensel-style lifting,
+each contributing a difference gcd(x-c, p^j) - gcd(x-c, p^(j-1)), and the
+per-prime pieces are multiplied out via CRT.  Only the prime factorization
+of the modulus enters the result, so the closed form does not depend on the
+order of the family.
 """
 
 from __future__ import annotations
@@ -293,7 +294,10 @@ def _solution_levels(hs, p: int, e: int) -> list[list[int]]:
 
 
 def _synthesize_factored(fs, f: IntPoly, m0: int) -> GcdPorcFunction:
-    hs = [p.exact_div(f) for p in fs if p]
+    try:
+        hs = [p.exact_div(f) for p in fs if p]
+    except ValueError as exc:
+        raise ConsistencyError("the polynomial gcd does not divide every member") from exc
     gamma = 0
     for h in hs:
         gamma = gcd(gamma, content_and_primitive(h)[0])

@@ -1,7 +1,7 @@
 """Reference oracle: the residue-profile construction of a gcd closed form.
 
 The profile of d = gcd(f_1, ..., f_s) / |f| is read off one representative
-of every residue class of the Bezout denominator modulus, reduced to its
+of every residue class of the Bezout modulus, reduced to its
 least period, and written as 1 plus a weighted sum of shifted indicators of
 the classes where d exceeds 1.  It loops over every residue class, so it
 only suits small moduli; the package's prime-by-prime construction is

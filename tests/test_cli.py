@@ -163,6 +163,15 @@ class TestExitCodes:
         assert main(["gcd-porc", "--text", "x^2+x\nx^2-x"]) == 3
         assert "internal consistency error: shift 0 outside (0, 2)" in capsys.readouterr().err
 
+    def test_gcd_not_dividing_is_3(self, capsys, monkeypatch):
+        import porcfield.porc as porc_mod
+
+        wrong = (parse_poly("x+2"), [], 2)
+        monkeypatch.setattr(porc_mod, "bezout_cofactors", lambda fs: wrong)
+        assert main(["gcd-porc", "--text", "x^2+x\nx^2-x"]) == 3
+        err = capsys.readouterr().err
+        assert "internal consistency error: the polynomial gcd does not divide" in err
+
     def test_missing_input_is_1(self, capsys):
         assert main(["count", "--q", "3"]) == 1
 
@@ -175,6 +184,47 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main(["count", "--q", "not-a-number"])
         assert info.value.code == 1
+
+
+class TestOptions:
+    # each subcommand takes only the options it reads
+    REMOVED = [
+        ("synthesize", "--max-enum", "5"),
+        ("count", "--max-enum", "5"),
+        ("gcd-porc", "--max-enum", "5"),
+        ("table", "--max-enum", "5"),
+        ("gcd-porc", "--max-neq", "5"),
+        ("verify", "--format", "json"),
+    ]
+    KEPT = [
+        ("synthesize", "--format", "json"),
+        ("synthesize", "--max-neq", "5"),
+        ("count", "--format", "json"),
+        ("count", "--max-neq", "5"),
+        ("gcd-porc", "--format", "json"),
+        ("table", "--format", "json"),
+        ("table", "--max-neq", "5"),
+        ("verify", "--max-neq", "5"),
+        ("verify", "--max-enum", "5"),
+    ]
+
+    @staticmethod
+    def _argv(command, flag, value):
+        text = "x^2+x\nx^2-x" if command == "gcd-porc" else QUADRATIC_TEXT
+        extra = ["--q", "3"] if command == "count" else []
+        return [command, "--text", text, *extra, flag, value]
+
+    @pytest.mark.parametrize("command, flag, value", REMOVED)
+    def test_removed_option_is_usage_error(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(self._argv(command, flag, value))
+        assert info.value.code == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value", KEPT)
+    def test_kept_option_works(self, command, flag, value, capsys):
+        assert main(self._argv(command, flag, value)) == 0
+        assert capsys.readouterr().out
 
 
 class TestJsonRoundTrips:

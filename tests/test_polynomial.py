@@ -1,13 +1,12 @@
 """Exact polynomial arithmetic: gcd, cofactors, content, evaluation."""
 
 import random
-from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from porcfield import (
     IntPoly,
-    RatPoly,
     bezout_cofactors,
     content_and_primitive,
     parse_poly,
@@ -71,24 +70,41 @@ class TestBezoutCofactors:
     def test_cofactors_of_cyclotomic_pair(self):
         f, gs, m = bezout_cofactors([P("x^2-1"), P("x^3-1")])
         assert f == P("x-1")
-        assert gs[0] == RatPoly([0, -1]) and gs[1] == RatPoly([1])
+        assert gs == [IntPoly([0, -1]), IntPoly([1])]
         assert m == 1
 
     def test_half_difference(self):
         f, gs, m = bezout_cofactors([P("x^2+x"), P("x^2-x")])
         assert f == P("x")
-        assert gs[0] == RatPoly([Fraction(1, 2)])
-        assert gs[1] == RatPoly([Fraction(-1, 2)])
+        assert gs == [IntPoly([1]), IntPoly([-1])]
         assert m == 2
 
     def test_single_input(self):
         f, gs, m = bezout_cofactors([P("x")])
         assert (f, m) == (P("x"), 1)
-        assert gs == [RatPoly([1])]
+        assert gs == [IntPoly([1])]
 
     def test_constant_input_scales(self):
         f, gs, m = bezout_cofactors([IntPoly([2])])
-        assert (f, m) == (IntPoly([1]), 2)
+        assert (f, gs, m) == (IntPoly([1]), [IntPoly([1])], 2)
+
+    def test_negative_member_moves_sign_into_cofactor(self):
+        f, gs, m = bezout_cofactors([P("-2*x-2")])
+        assert (f, gs, m) == (P("x+1"), [IntPoly([-1])], 2)
+
+    def test_resultant_sized_modulus(self):
+        f, gs, m = bezout_cofactors([P("x^5-3*x^2+7"), P("2*x^4+x-9")])
+        assert (f, m) == (IntPoly([1]), 407159)
+        assert gs == [
+            IntPoly([18671, 16366, -3850, 10658]),
+            IntPoly([-30718, 9316, -8183, 1925, -5329]),
+        ]
+
+    def test_three_member_moduli(self):
+        f, gs, m = bezout_cofactors([P("6*x^2"), P("x"), P("x+8")])
+        assert (f, gs, m) == (IntPoly([1]), [IntPoly(), IntPoly([-1]), IntPoly([1])], 8)
+        f, gs, m = bezout_cofactors([P("3*x+3"), P("5*x-1"), P("x^2+2")])
+        assert (f, gs, m) == (IntPoly([1]), [IntPoly([5]), IntPoly([-3]), IntPoly()], 18)
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -111,13 +127,13 @@ def test_bezout_identity_500_random_families():
         if all(not f for f in fs):
             continue
         f, gs, m = bezout_cofactors(fs)
-        acc = RatPoly()
+        acc = IntPoly()
         for fi, gi in zip(fs, gs):
-            acc = acc + RatPoly.from_int(fi) * gi
-        assert acc == RatPoly.from_int(f), [str(p) for p in fs]
+            acc = acc + fi * gi
+        assert acc == f * m, [str(p) for p in fs]
         assert m >= 1
-        for gi in gs:
-            assert m % gi.denominator_lcm() == 0
+        # m is minimal: no integer > 1 divides it and every cofactor coefficient
+        assert gcd(m, *(c for gi in gs for c in gi.coeffs)) == 1
         checked += 1
 
 
@@ -132,8 +148,7 @@ def test_gcd_divides_every_member():
         assert content_and_primitive(f)[0] == 1
         for fi in fs:
             if fi:
-                _, rem = divmod(RatPoly.from_int(fi), RatPoly.from_int(f))
-                assert not rem, f"{f} does not divide {fi}"
+                assert fi.exact_div(f) * f == fi
 
 
 def test_content_primitive_roundtrip():
@@ -157,6 +172,10 @@ class TestExactDiv:
             if not b:
                 continue
             assert (a * b).exact_div(b) == a
+
+    def test_non_unit_leading_coefficient(self):
+        assert P("6*x^3+x^2-11*x-6").exact_div(P("3*x+2")) == P("2*x^2-x-3")
+        assert P("-4*x^2+9").exact_div(P("-2*x+3")) == P("2*x+3")
 
     def test_nonzero_remainder_raises(self):
         with pytest.raises(ValueError, match="inexact"):

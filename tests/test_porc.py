@@ -207,6 +207,13 @@ def test_factored_size_caps_raise_scale_cap_error(monkeypatch, cap, value):
         synthesize_gcd_function([P("x^2"), P("x^2+4")])
 
 
+def test_gcd_that_does_not_divide_is_a_consistency_error(monkeypatch):
+    # a Bezout gcd that fails to divide a member is an internal invariant failure
+    monkeypatch.setattr(porc, "bezout_cofactors", lambda fs: (P("x+2"), [], 2))
+    with pytest.raises(ConsistencyError, match="does not divide"):
+        synthesize_gcd_function([P("x^2+x"), P("x^2-x")])
+
+
 def test_synthesis_soundness_random_sweep():
     rng = random.Random(8208)
     done = compared = 0
