@@ -1,7 +1,8 @@
 """Command-line surface for the counting pipeline.
 
 Subcommands: synthesize, count, gcd-porc, table, verify.  Exit codes:
-0 success, 1 parse error, 2 scale cap exceeded, 3 verification mismatch.
+0 success, 1 input error (bad text, file or option value), 2 scale cap
+exceeded, 3 verification mismatch or internal consistency error.
 """
 
 from __future__ import annotations
@@ -90,9 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_source(args) -> str:
     if args.text is not None:
+        if args.source is not None:
+            raise ValueError(f"both a source ({args.source!r}) and --text given; pass one")
         return args.text
     if args.source is None:
-        raise DslSyntaxError("no input given (pass a file or --text)", 1, 1)
+        raise ValueError("no input given (pass a file or --text)")
     if args.source == "-":
         return sys.stdin.read()
     try:
@@ -124,15 +127,17 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_gcd_porc(args) -> int:
-    lines = [
-        ln.strip()
-        for ln in _read_source(args).splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
-    if not lines:
-        print("error: no polynomials given", file=sys.stderr)
-        return EXIT_PARSE
-    polys = [parse_poly(ln) for ln in lines]
+    polys = []
+    for number, line in enumerate(_read_source(args).splitlines(), 1):
+        if not line.strip() or line.strip().startswith("#"):
+            continue
+        try:
+            polys.append(parse_poly(line))
+        except DslSyntaxError as exc:
+            # each line is parsed on its own; report where it sits in the input
+            raise DslSyntaxError(exc.message, number, exc.col) from None
+    if not polys:
+        raise ValueError("no polynomials given")
     g = synthesize_gcd_function(polys)
     if args.format == "json":
         print(json.dumps(gcd_function_to_dict(g)))
@@ -159,9 +164,9 @@ def _parse_range(text: str) -> tuple[int, int]:
         lo, hi = text.split(":")
         lo, hi = int(lo), int(hi)
     except ValueError as exc:
-        raise DslSyntaxError(f"bad q-range {text!r}, expected lo:hi", 1, 1) from exc
+        raise ValueError(f"bad q-range {text!r}, expected lo:hi") from exc
     if lo < 2 or hi < lo:
-        raise DslSyntaxError(f"bad q-range {text!r}", 1, 1)
+        raise ValueError(f"bad q-range {text!r}")
     return lo, hi
 
 
@@ -208,10 +213,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DslSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
+    except ValueError as exc:  # DslSyntaxError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ScaleCapError as exc:

@@ -3,15 +3,19 @@
 Two structurally different ground truths for solution counts: literal
 enumeration of field-element tuples in an explicitly constructed GF(p^n),
 and enumeration of exponent tuples solving the corresponding linear
-congruences mod q^n - 1.  Neither shares code with the symbolic pipeline.
+congruences mod q^n - 1.  Neither uses the relation matrix, its minors,
+the gcd synthesis or the Smith normal form.  What they share with the
+symbolic pipeline: both read the parsed system and evaluate its exponents
+with ``IntPoly``, and the irreducibility test behind ``make_field`` runs on
+``_gfpoly``'s GF(p) arithmetic (``gf_divmod``, ``gf_gcd``, ``gf_pow_mod``),
+which ``porc``'s modular root finding also uses.  numpy is imported only
+when the exponent oracle runs, so subcommands without it never load it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-
-import numpy as np
 
 from ._gfpoly import gf_is_irreducible
 from .errors import ScaleCapError
@@ -202,6 +206,8 @@ def exponent_space_count(
         raise ScaleCapError(
             f"{modulus}^{system.k} exponent tuples exceed the cap {max_tuples}"
         )
+    import numpy as np
+
     grid = _exponent_grid(modulus, system.k)
     ok = np.ones(grid.shape[1], dtype=bool)
     for rel in system.relations:
@@ -214,4 +220,6 @@ def exponent_space_count(
 @lru_cache(maxsize=8)
 def _exponent_grid(modulus: int, k: int) -> np.ndarray:
     # all of Z_modulus^k as a (k, modulus^k) int64 matrix
+    import numpy as np
+
     return np.indices((modulus,) * k, dtype=np.int64).reshape(k, -1)

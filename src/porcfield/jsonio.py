@@ -13,10 +13,6 @@ from .porc import GcdPorcFunction, PorcExpression
 from .system import CountingFunction
 
 
-def frac_to_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def poly_to_list(p: IntPoly) -> list[int]:
     return list(p.coeffs)
 
@@ -27,9 +23,9 @@ def poly_from_list(coeffs) -> IntPoly:
 
 def porc_to_dict(e: PorcExpression) -> dict:
     return {
-        "alpha": frac_to_str(e.alpha),
+        "alpha": str(e.alpha),
         "terms": [
-            {"coeff": frac_to_str(c), "n": n, "m": m} for c, n, m in e.terms
+            {"coeff": str(c), "n": n, "m": m} for c, n, m in e.terms
         ],
     }
 

@@ -13,7 +13,8 @@ The concrete syntax, whitespace-insensitive with '#' comments:
     term       := [INT "*"] "q" ["^" INT] | INT
 
 A leading sign on the first term of a parenthesized exponent polynomial is
-accepted as a convenience.
+accepted as a convenience.  The same intpoly rules, with any one identifier
+in place of "q", parse standalone polynomials (``parse_intpoly``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .polynomial import IntPoly
 from .system import MonomialRelation, MonomialSystem
 
 
-class DslSyntaxError(Exception):
+class DslSyntaxError(ValueError):
     """Input text violates the grammar; carries the 1-based position."""
 
     def __init__(self, message: str, line: int, col: int):
@@ -64,11 +65,11 @@ def _tokenize(text: str) -> list[_Token]:
                 i += 1
             continue
         start_col = col
-        if ch.isdigit():
+        if ch.isdecimal():  # not isdigit(): int() rejects superscript digits
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
+            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdecimal():
                 raise DslSyntaxError("non-integer coefficient", line, start_col)
             out.append(_Token("int", text[i:j], line, start_col))
             col += j - i
@@ -93,9 +94,10 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[_Token], what: str = "exponent polynomial"):
         self.tokens = tokens
         self.pos = 0
+        self.what = what  # names an intpoly in error messages
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -212,7 +214,7 @@ def _parse_exponent(p: _Parser) -> IntPoly:
     tok = p.peek()
     if tok.kind == "(":
         p.advance()
-        poly = _parse_intpoly(p)
+        poly = _parse_intpoly(p, "q")
         p.expect(")", "')'")
         return poly
     if tok.kind == "-":
@@ -225,31 +227,54 @@ def _parse_exponent(p: _Parser) -> IntPoly:
     raise p.fail("expected an exponent")
 
 
-def _parse_intpoly(p: _Parser) -> IntPoly:
+def parse_intpoly(text: str, var: str | None = None) -> IntPoly:
+    """Parse text that is one intpoly in the indeterminate ``var``.
+
+    With ``var`` None the first identifier is the indeterminate.  Raises
+    DslSyntaxError on a grammar violation or a second identifier.
+    """
+    tokens = _tokenize(text)
+    for tok in tokens:
+        if tok.kind != "ident":
+            continue
+        if var is None:
+            var = tok.text
+        elif tok.text != var:
+            raise DslSyntaxError(
+                f"conflicting variable names {var!r} and {tok.text!r}", tok.line, tok.col
+            )
+    p = _Parser(tokens, "polynomial")
+    # with no identifier in the text, "x" only names the indeterminate in messages
+    poly = _parse_intpoly(p, var or "x")
+    p.expect("eof", "end of polynomial")
+    return poly
+
+
+def _parse_intpoly(p: _Parser, var: str) -> IntPoly:
     sign = 1
     if p.peek().kind in ("+", "-"):
         sign = -1 if p.advance().kind == "-" else 1
-    acc = _parse_term(p, sign)
+    acc = _parse_term(p, sign, var)
     while p.peek().kind in ("+", "-"):
         sign = -1 if p.advance().kind == "-" else 1
-        acc = acc + _parse_term(p, sign)
+        acc = acc + _parse_term(p, sign, var)
     return acc
 
 
-def _parse_term(p: _Parser, sign: int) -> IntPoly:
+def _parse_term(p: _Parser, sign: int, var: str) -> IntPoly:
     tok = p.peek()
     if tok.kind == "int":
         p.advance()
         coeff = int(tok.text)
         if p.peek().kind == "*":
             p.advance()
-            p.expect_word("q")
+            p.expect_word(var)
             return IntPoly.monomial(sign * coeff, _parse_power(p))
         return IntPoly.constant(sign * coeff)
-    if tok.kind == "ident" and tok.text == "q":
+    if tok.kind == "ident" and tok.text == var:
         p.advance()
         return IntPoly.monomial(sign, _parse_power(p))
-    raise p.fail("malformed exponent polynomial")
+    raise p.fail(f"malformed {p.what}")
 
 
 def _parse_power(p: _Parser) -> int:

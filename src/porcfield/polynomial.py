@@ -9,7 +9,6 @@ an empty coefficient tuple.
 
 from __future__ import annotations
 
-import re
 from math import gcd
 
 
@@ -252,73 +251,13 @@ def bezout_cofactors(fs) -> tuple[IntPoly, list[IntPoly], int]:
     return g, [cofs.get(i, IntPoly()) for i in range(len(fs))], m
 
 
-_POLY_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|(\^)|(\*)|(\+)|(-)|(.))")
-
-
 def parse_poly(text: str, var: str | None = None) -> IntPoly:
     """Parse a compact integer polynomial such as ``x^2+x`` or ``3*q^2-1``.
 
-    Any single identifier may serve as the indeterminate; pass ``var`` to
-    require a specific one.
+    The grammar is the input language's intpoly, with any single identifier
+    as the indeterminate; pass ``var`` to require a specific one.  Raises
+    ValueError (a DslSyntaxError with line and column) on malformed text.
     """
-    pos = 0
-    tokens = []
-    for m in _POLY_TOKEN.finditer(text):
-        if m.group(7) is not None:
-            raise ValueError(f"unexpected character {m.group(7)!r} in polynomial")
-        for idx, kind in ((1, "int"), (2, "ident"), (3, "^"), (4, "*"), (5, "+"), (6, "-")):
-            if m.group(idx) is not None:
-                tokens.append((kind, m.group(idx)))
-                break
-    if not tokens:
-        raise ValueError("empty polynomial")
+    from .parser import parse_intpoly  # not at module level: parser imports IntPoly
 
-    seen_var = var
-    acc = IntPoly()
-
-    def fail():
-        raise ValueError(f"malformed polynomial: {text!r}")
-
-    i = 0
-    first = True
-    while i < len(tokens):
-        sign = 1
-        if tokens[i][0] in ("+", "-"):
-            if tokens[i][0] == "-":
-                sign = -1
-            i += 1
-        elif not first:
-            fail()
-        if i >= len(tokens) or tokens[i][0] in ("+", "-"):
-            fail()
-        coeff = None
-        if tokens[i][0] == "int":
-            coeff = int(tokens[i][1])
-            i += 1
-            if i < len(tokens) and tokens[i][0] == "*":
-                i += 1
-                if i >= len(tokens) or tokens[i][0] != "ident":
-                    fail()
-            elif i < len(tokens) and tokens[i][0] == "ident":
-                fail()  # coefficient juxtaposition like "2x" needs a '*'
-        if i < len(tokens) and tokens[i][0] == "ident":
-            name = tokens[i][1]
-            if seen_var is None:
-                seen_var = name
-            elif name != seen_var:
-                raise ValueError(f"conflicting variable names {seen_var!r} and {name!r}")
-            i += 1
-            power = 1
-            if i < len(tokens) and tokens[i][0] == "^":
-                i += 1
-                if i >= len(tokens) or tokens[i][0] != "int":
-                    fail()
-                power = int(tokens[i][1])
-                i += 1
-            acc = acc + IntPoly.monomial(sign * (1 if coeff is None else coeff), power)
-        elif coeff is not None:
-            acc = acc + IntPoly.constant(sign * coeff)
-        else:
-            fail()
-        first = False
-    return acc
+    return parse_intpoly(text, var)

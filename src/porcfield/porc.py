@@ -38,6 +38,8 @@ ZERO_SHIFT_CAP = 10_000
 CLASS_BUDGET = 20_000
 TERM_BUDGET = 200_000
 CHILD_ENUM_CAP = 3_000
+#: Most residue classes porc_to_residue_table builds, one row each.
+TABLE_ROW_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -53,12 +55,12 @@ class PorcExpression:
     def render(self, var: str = "q") -> str:
         parts: list[tuple[bool, str]] = []  # (negative, body)
         if self.alpha or not self.terms:
-            parts.append((self.alpha < 0, _frac_str(abs(self.alpha))))
+            parts.append((self.alpha < 0, str(abs(self.alpha))))
         for coeff, n, m in self.terms:
             body = f"gcd({var}-{n},{m})"
             mag = abs(coeff)
             if mag != 1:
-                body = f"{_frac_str(mag)}*{body}"
+                body = f"{mag}*{body}"
             parts.append((coeff < 0, body))
         out = ""
         for i, (neg, body) in enumerate(parts):
@@ -120,10 +122,6 @@ class IndicatorScheme:
     primes: tuple[int, ...]
     terms: tuple[tuple[int, int], ...]  # (sign, modulus), one per subset of primes
     c: int  # value at multiples of m, equal to Euler's totient of m
-
-
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -357,6 +355,10 @@ def porc_to_residue_table(obj) -> tuple[int, list[IntPoly]]:
     for _, g in parts:
         for _, _, m in g.d.terms:
             modulus = lcm(modulus, m)
+    if modulus > TABLE_ROW_CAP:
+        raise ScaleCapError(
+            f"table of {modulus} residue classes exceeds TABLE_ROW_CAP = {TABLE_ROW_CAP}"
+        )
     table = []
     for r in range(modulus):
         coeffs: list[Fraction] = []

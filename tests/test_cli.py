@@ -1,7 +1,11 @@
 """Command-line surface: output goldens, exit codes, JSON round trips."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +97,10 @@ class TestGcdPorc:
     def test_empty_input_exits_1(self, capsys):
         assert main(["gcd-porc", "--text", "  \n# nothing\n"]) == 1
 
+    def test_bad_polynomial_reports_its_input_line(self, capsys):
+        assert main(["gcd-porc", "--text", "x^2+x\n  x^2-"]) == 1
+        assert capsys.readouterr().err == "error: line 2, column 7: malformed polynomial\n"
+
 
 class TestTable:
     def test_text(self, system_file, capsys):
@@ -175,6 +183,20 @@ class TestExitCodes:
     def test_missing_input_is_1(self, capsys):
         assert main(["count", "--q", "3"]) == 1
 
+    def test_source_and_text_is_1(self, capsys):
+        argv = ["synthesize", "no-such-file.mono", "--text", "field GF(q^2); vars x"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'no-such-file.mono'" in captured.err and "--text" in captured.err
+
+    def test_table_row_cap_is_2(self, system_file, capsys, monkeypatch):
+        import porcfield.porc as porc_mod
+
+        monkeypatch.setattr(porc_mod, "TABLE_ROW_CAP", 1)
+        assert main(["table", system_file]) == 2
+        assert "exceeds TABLE_ROW_CAP = 1" in capsys.readouterr().err
+
     def test_missing_file_is_1(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["count", "/nonexistent/path.mono", "--q", "3"])
@@ -184,6 +206,17 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main(["count", "--q", "not-a-number"])
         assert info.value.code == 1
+
+
+def test_cli_import_leaves_numpy_and_sympy_unloaded():
+    # only the exponent oracle and the modulus factorization need them
+    code = "import sys, porcfield.cli; print(sorted({'numpy', 'sympy'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 class TestOptions:

@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic: gcd, cofactors, content, evaluation."""
 
 import random
+import re
 from math import gcd
 
 import pytest
@@ -205,7 +206,11 @@ class TestParsePoly:
         rng = random.Random(11)
         for _ in range(100):
             p = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 6))])
-            assert parse_poly(p.render("x")) == p
+            text = p.render("x")
+            assert parse_poly(text) == p
+            # the system parser's whitespace rules: inner and trailing blanks are skipped
+            assert parse_poly(re.sub(r"([-+*^])", r" \1 ", text) + " \t") == p
+            assert parse_poly(text + " ") == p
 
     def test_plain_forms(self):
         assert parse_poly("x^2+x") == IntPoly([0, 1, 1])

@@ -290,6 +290,16 @@ class TestResidueTable:
         g = GcdPorcFunction(f=IntPoly([5]), d=PORC_ONE, m=1)
         assert porc_to_residue_table(g) == (1, [IntPoly([5])])
 
+    def test_row_cap_raises_before_any_row(self, monkeypatch):
+        g = GcdPorcFunction(f=P("q^2-q"), d=expr(0, (1, 1, 2)), m=2)
+        monkeypatch.setattr(porc, "TABLE_ROW_CAP", 1)
+        monkeypatch.setattr(porc, "porc_eval", lambda *a: pytest.fail("built a row"))
+        with pytest.raises(ScaleCapError, match="table of 2 residue classes exceeds TABLE_ROW_CAP"):
+            porc_to_residue_table(g)
+        monkeypatch.undo()
+        monkeypatch.setattr(porc, "TABLE_ROW_CAP", 2)
+        assert porc_to_residue_table(g)[0] == 2
+
     def test_table_agrees_with_direct_evaluation(self):
         rng = random.Random(12)
         for _ in range(25):

@@ -77,6 +77,10 @@ class TestParse:
         with pytest.raises(DslSyntaxError, match="non-integer"):
             parse_system("field GF(q^2); vars x; eq x^(1.5*q) = 1")
 
+    def test_superscript_digit_reports_position(self):
+        with pytest.raises(DslSyntaxError, match="line 1, column 29: unexpected character '²'"):
+            parse_system("field GF(q^2); vars x; eq x^² = 1")
+
     def test_reserved_and_duplicate_names(self):
         with pytest.raises(DslSyntaxError, match="reserved"):
             parse_system("field GF(q^2); vars q")
