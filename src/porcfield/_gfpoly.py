@@ -2,8 +2,11 @@
 
 Polynomials are plain lists of ints in [0, p), ascending by degree, with no
 trailing zeros ([] is the zero polynomial).  Only the small-degree routines
-needed elsewhere in the package live here: Euclid, modular powering, root
-extraction and an irreducibility test.
+needed elsewhere in the package live here: multiplication, Euclid, modular
+powering, root extraction, an irreducibility test, and the trial division
+that serves it.  ``porc``'s modular root finding runs on them, and so do the
+field oracle's GF(p^n) multiplication and powering (``gf_mul``,
+``gf_divmod``, ``gf_pow_mod``) and its primality checks (``trial_factor``).
 """
 
 from __future__ import annotations
@@ -112,6 +115,20 @@ def gf_roots(a: list[int], p: int) -> list[int]:
     return sorted(roots)
 
 
+def trial_factor(n: int) -> dict[int, int]:
+    """{prime: exponent} for n >= 1 by trial division; {} for n < 2."""
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = 1
+    return factors
+
+
 def gf_is_irreducible(a: list[int], p: int) -> bool:
     """Rabin irreducibility test for a monic polynomial over GF(p)."""
     n = len(a) - 1
@@ -126,17 +143,7 @@ def gf_is_irreducible(a: list[int], p: int) -> bool:
             u = gf_pow_mod(u, p, a, p)
         return u
 
-    primes = set()
-    m = n
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            primes.add(d)
-            m //= d
-        d += 1
-    if m > 1:
-        primes.add(m)
-    for r in primes:
+    for r in trial_factor(n):
         u = frob_iter(n // r)
         if gf_gcd(gf_sub(u, [0, 1], p), a, p) != [1]:
             return False

@@ -18,7 +18,7 @@ from .jsonio import (
     gcd_function_to_dict,
     table_to_dict,
 )
-from .parser import DslSyntaxError, parse_system
+from .parser import DslSyntaxError, first_identifier, parse_system
 from .polynomial import parse_poly
 from .porc import porc_to_residue_table, synthesize_gcd_function
 from .system import count_at, counting_eval, synthesize_counting_function
@@ -46,8 +46,19 @@ def _add_format(sub):
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
 
+def _cap(text: str) -> int:
+    # a size cap is a non-negative integer; argparse turns the error into exit 1
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative; a cap must be at least 0")
+    return value
+
+
 def _add_max_neq(sub):
-    sub.add_argument("--max-neq", type=int, default=20,
+    sub.add_argument("--max-neq", type=_cap, default=20,
                      help="inclusion-exclusion cap on inequations")
 
 
@@ -82,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("verify", help="cross-check counts against the oracles")
     _add_input_args(s)
     _add_max_neq(s)
-    s.add_argument("--max-enum", type=int, default=10**6,
+    s.add_argument("--max-enum", type=_cap, default=10**6,
                    help="cap on enumerated oracle tuples")
     s.add_argument("--q-range", default="2:9", help="inclusive lo:hi range of q values")
     s.set_defaults(func=_cmd_verify)
@@ -128,14 +139,16 @@ def _cmd_count(args) -> int:
 
 def _cmd_gcd_porc(args) -> int:
     polys = []
+    var = None  # the first identifier in the input is every line's indeterminate
     for number, line in enumerate(_read_source(args).splitlines(), 1):
         if not line.strip() or line.strip().startswith("#"):
             continue
         try:
-            polys.append(parse_poly(line))
+            polys.append(parse_poly(line, var))
         except DslSyntaxError as exc:
             # each line is parsed on its own; report where it sits in the input
             raise DslSyntaxError(exc.message, number, exc.col) from None
+        var = var or first_identifier(line)
     if not polys:
         raise ValueError("no polynomials given")
     g = synthesize_gcd_function(polys)

@@ -6,10 +6,13 @@ and enumeration of exponent tuples solving the corresponding linear
 congruences mod q^n - 1.  Neither uses the relation matrix, its minors,
 the gcd synthesis or the Smith normal form.  What they share with the
 symbolic pipeline: both read the parsed system and evaluate its exponents
-with ``IntPoly``, and the irreducibility test behind ``make_field`` runs on
-``_gfpoly``'s GF(p) arithmetic (``gf_divmod``, ``gf_gcd``, ``gf_pow_mod``),
-which ``porc``'s modular root finding also uses.  numpy is imported only
-when the exponent oracle runs, so subcommands without it never load it.
+with ``IntPoly``, and the field oracle's arithmetic runs on ``_gfpoly``:
+multiplication and powering in GF(p^n) are ``gf_mul``, ``gf_divmod`` and
+``gf_pow_mod`` modulo the field's modulus, the modulus comes from
+``gf_is_irreducible``, and primality comes from ``trial_factor``.  ``porc``'s
+modular root finding uses the same routines; ``count_at`` and the exponent
+oracle use none of them.  numpy is imported only when the exponent oracle
+runs, so subcommands without it never load it.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from ._gfpoly import gf_is_irreducible
-from .errors import ScaleCapError
+from ._gfpoly import gf_divmod, gf_is_irreducible, gf_mul, gf_pow_mod, trial_factor
+from .errors import ConsistencyError, ScaleCapError
 from .system import EQ, MonomialSystem
 
 #: Default cap on enumerated tuples.
@@ -28,35 +31,12 @@ DEFAULT_MAX_TUPLES = 10**6
 MAX_FIELD_ORDER = 10**6
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def split_prime_power(q: int) -> tuple[int, int]:
     """Write q as p^e with p prime, or raise ValueError."""
-    if q < 2:
+    factors = trial_factor(q)
+    if len(factors) != 1:
         raise ValueError(f"{q} is not a prime power")
-    p = q
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            p = d
-            break
-        d += 1
-    e = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
-        raise ValueError(f"{q} is not a prime power")
+    [(p, e)] = factors.items()
     return p, e
 
 
@@ -70,55 +50,23 @@ class FieldContext:
         self.order = p**n
         self.zero = (0,) * n
         self.one = tuple(1 if i == 0 else 0 for i in range(n))
-        # t^(n + i) reduced mod the modulus, for folding products back down
-        tails = [tuple((-c) % p for c in modulus[:n])]
-        for _ in range(max(n - 2, 0)):
-            prev = tails[-1]
-            carry = prev[n - 1]
-            shifted = [0] + list(prev[: n - 1])
-            if carry:
-                for j in range(n):
-                    shifted[j] = (shifted[j] + carry * tails[0][j]) % p
-            tails.append(tuple(shifted))
-        self._tails = tails
+
+    def _element(self, coeffs: list[int]):
+        # a reduced GF(p) polynomial back to a length-n tuple
+        return tuple(coeffs) + (0,) * (self.n - len(coeffs))
 
     def add(self, a, b):
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
 
-    def neg(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
-
     def mul(self, a, b):
-        p, n = self.p, self.n
-        conv = [0] * (2 * n - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    conv[i + j] += x * y
-        out = [c % p for c in conv[:n]]
-        for i in range(n - 1):
-            carry = conv[n + i] % p
-            if carry:
-                tail = self._tails[i]
-                for j in range(n):
-                    out[j] = (out[j] + carry * tail[j]) % p
-        return tuple(out)
+        return self._element(gf_divmod(gf_mul(a, b, self.p), self.modulus, self.p)[1])
 
     def pow(self, a, e: int):
         """a^e for nonzero a, with e reduced into the multiplicative group."""
         if a == self.zero:
             raise ValueError("zero has no well-defined group power")
-        e %= self.order - 1
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return self._element(gf_pow_mod(a, e % (self.order - 1), self.modulus, self.p))
 
     def inverse(self, a):
         return self.pow(a, self.order - 2)
@@ -131,14 +79,14 @@ class FieldContext:
         return [el for el in self.elements() if el != self.zero]
 
 
-def make_field(p: int, n: int, *, max_order: int = MAX_FIELD_ORDER) -> FieldContext:
+def make_field(p: int, n: int) -> FieldContext:
     """GF(p^n) with the first irreducible modulus in base-p counting order."""
-    if not is_prime(p):
+    if trial_factor(p) != {p: 1}:
         raise ValueError(f"{p} is not prime")
     if n < 1:
         raise ValueError("extension degree must be at least 1")
-    if p**n > max_order:
-        raise ScaleCapError(f"field order {p ** n} exceeds the cap {max_order}")
+    if p**n > MAX_FIELD_ORDER:
+        raise ScaleCapError(f"field order {p ** n} exceeds the cap {MAX_FIELD_ORDER}")
     for lower in range(p**n):
         coeffs = []
         m = lower
@@ -148,7 +96,29 @@ def make_field(p: int, n: int, *, max_order: int = MAX_FIELD_ORDER) -> FieldCont
         candidate = tuple(coeffs) + (1,)
         if gf_is_irreducible(list(candidate), p):
             return FieldContext(p, n, candidate)
-    raise AssertionError("no irreducible polynomial found")  # pragma: no cover
+    raise ConsistencyError(f"no irreducible polynomial of degree {n} over GF({p}) found")
+
+
+def _discrete_logs(field: FieldContext) -> dict:
+    """{element: log} to the base of the first generator of the multiplicative group.
+
+    Each candidate's orbit is walked from one by literal multiplication up to
+    the first repeat.  A generator's orbit holds all p^n - 1 nonzero elements;
+    a reducible modulus can also give an orbit of that length through zero.
+    """
+    group = field.order - 1
+    for candidate in field.nonzero_elements():
+        logs = {}
+        x = field.one
+        while x not in logs:
+            logs[x] = len(logs)
+            x = field.mul(x, candidate)
+        if len(logs) == group and field.zero not in logs:
+            return logs
+    raise ConsistencyError(
+        f"no generator of the multiplicative group of GF({field.p}^{field.n}) "
+        f"under the modulus {field.modulus}"
+    )
 
 
 def brute_force_count(
@@ -157,36 +127,35 @@ def brute_force_count(
     """Count solutions by enumerating tuples of nonzero field elements.
 
     q0 must be a prime power p^e; the field GF(q0^n) is built as
-    GF(p^(e*n)) and exponent polynomials are evaluated at q0.
+    GF(p^(e*n)) and exponent polynomials are evaluated at q0.  The power
+    tables are literal field powers, stored as discrete logs, so a product
+    of table entries is 1 exactly when the sum of their logs is 0 mod
+    q0^n - 1 (the multiplicative group is cyclic).
     """
     p, e = split_prime_power(q0)
-    field = make_field(p, e * system.n)
-    group = field.order - 1
+    group = q0**system.n - 1
     if group**system.k > max_tuples:
         raise ScaleCapError(
             f"{group}^{system.k} field tuples exceed the cap {max_tuples}"
         )
+    field = make_field(p, e * system.n)
     elements = field.nonzero_elements()
-    # one power table per (relation, unknown): table[i] = element_i ^ exponent
+    logs = _discrete_logs(field)
+    # one log table per (relation, unknown): table[i] = log(element_i ^ exponent)
     checks = []
     for rel in system.relations:
         tables = []
         for poly in rel.exponents:
             beta = poly(q0) % group
-            tables.append([field.pow(el, beta) for el in elements])
+            tables.append([logs[field.pow(el, beta)] for el in elements])
         checks.append((rel.kind == EQ, tables))
     count = 0
-    one = field.one
-    for combo in product(range(len(elements)), repeat=system.k):
-        ok = True
+    for combo in product(range(group), repeat=system.k):
         for want_eq, tables in checks:
-            acc = one
-            for var, idx in enumerate(combo):
-                acc = field.mul(acc, tables[var][idx])
-            if (acc == one) != want_eq:
-                ok = False
+            total = sum(table[i] for table, i in zip(tables, combo))
+            if (total % group == 0) != want_eq:
                 break
-        if ok:
+        else:
             count += 1
     return count
 

@@ -250,6 +250,11 @@ def parse_intpoly(text: str, var: str | None = None) -> IntPoly:
     return poly
 
 
+def first_identifier(text: str) -> str | None:
+    """The first identifier token in text, or None when it has none."""
+    return next((tok.text for tok in _tokenize(text) if tok.kind == "ident"), None)
+
+
 def _parse_intpoly(p: _Parser, var: str) -> IntPoly:
     sign = 1
     if p.peek().kind in ("+", "-"):

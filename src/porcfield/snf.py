@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from math import prod
 
+from .errors import ConsistencyError
+
 
 def _validate(rows) -> list[list[int]]:
     mat = [list(map(int, r)) for r in rows]
@@ -91,7 +93,7 @@ def smith_normal_form(rows) -> list[int]:
     divisors += [0] * (k - len(divisors))
     for i in range(k - 1):
         if divisors[i + 1] and divisors[i + 1] % max(divisors[i], 1):
-            raise AssertionError("divisor chain violated")  # pragma: no cover
+            raise ConsistencyError("divisor chain violated")  # pragma: no cover
     return divisors
 
 

@@ -101,6 +101,20 @@ class TestGcdPorc:
         assert main(["gcd-porc", "--text", "x^2+x\n  x^2-"]) == 1
         assert capsys.readouterr().err == "error: line 2, column 7: malformed polynomial\n"
 
+    def test_first_identifier_binds_every_line(self, capsys):
+        assert main(["gcd-porc", "--text", "p^2+p\ny^2-y"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: line 2, column 1: conflicting variable names 'p' and 'y'\n"
+        )
+
+    def test_constant_lines_keep_the_indeterminate_open(self, capsys):
+        assert main(["gcd-porc", "--text", "6\np^2+p\n\n# note\n2*p"]) == 0
+        assert main(["gcd-porc", "--text", "6\nx^2+x\n2*x"]) == 0
+        first, second = capsys.readouterr().out.splitlines()
+        assert first == second
+
 
 class TestTable:
     def test_text(self, system_file, capsys):
@@ -206,6 +220,28 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main(["count", "--q", "not-a-number"])
         assert info.value.code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synthesize", "--text", "field GF(q^1); vars x", "--max-neq", "-1"],
+            ["verify", "--text", "field GF(q^1); vars x", "--max-neq", "-1"],
+            ["verify", "--text", "field GF(q^1); vars x", "--max-enum", "-5"],
+        ],
+    )
+    def test_negative_cap_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        flag, value = argv[-2:]
+        assert f"argument {flag}: {value} is negative" in captured.err
+
+    def test_zero_enumeration_cap_skips_both_oracles(self, capsys):
+        argv = ["verify", "--text", "field GF(q^1); vars x", "--max-enum", "0"]
+        assert main([*argv, "--q-range", "2:3"]) == 0
+        assert capsys.readouterr().out == "q=2 count=1 ok (1 checks)\nq=3 count=2 ok (1 checks)\n"
 
 
 def test_cli_import_leaves_numpy_and_sympy_unloaded():

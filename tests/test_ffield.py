@@ -1,17 +1,67 @@
 """Finite-field construction and the two brute-force counting oracles."""
 
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import porcfield.ffield as ffield
 from porcfield import (
+    ConsistencyError,
+    IntPoly,
     ScaleCapError,
     brute_force_count,
+    count_at,
+    counting_eval,
     exponent_space_count,
     make_field,
     make_system,
     split_prime_power,
+    synthesize_counting_function,
 )
+from porcfield.cli import main
+from porcfield.system import EQ
+
+
+def reference_count(system, q0):
+    """Literal tuple-product count: multiply powered entries with field.mul.
+
+    The definition that ``brute_force_count`` shortcuts with discrete logs;
+    kept for small fields only.
+    """
+    p, e = split_prime_power(q0)
+    field = make_field(p, e * system.n)
+    elements = field.nonzero_elements()
+    checks = [
+        (rel.kind == EQ, [[field.pow(el, poly(q0)) for el in elements] for poly in rel.exponents])
+        for rel in system.relations
+    ]
+    count = 0
+    for combo in product(range(len(elements)), repeat=system.k):
+        ok = True
+        for want_eq, tables in checks:
+            acc = field.one
+            for var, idx in enumerate(combo):
+                acc = field.mul(acc, tables[var][idx])
+            if (acc == field.one) != want_eq:
+                ok = False
+                break
+        if ok:
+            count += 1
+    return count
+
+
+def small_random_systems():
+    rng = random.Random(3333)
+    for _ in range(25):
+        k = rng.randint(1, 2)
+        n = rng.randint(1, 2)
+        eqs, neqs = [], []
+        for _ in range(rng.randint(0, 3)):
+            row = tuple(rng.randint(-4, 4) for _ in range(k))
+            (eqs if rng.random() < 0.7 else neqs).append(row)
+        yield make_system(k, n, eqs=eqs, neqs=neqs)
 
 
 class TestMakeField:
@@ -28,6 +78,11 @@ class TestMakeField:
     def test_scale_cap(self):
         with pytest.raises(ScaleCapError):
             make_field(2, 21)
+
+    def test_no_irreducible_modulus_is_consistency_error(self, monkeypatch):
+        monkeypatch.setattr(ffield, "gf_is_irreducible", lambda a, p: False)
+        with pytest.raises(ConsistencyError, match="no irreducible polynomial"):
+            make_field(2, 2)
 
     def test_prime_field(self):
         f = make_field(7, 1)
@@ -98,6 +153,36 @@ class TestBruteForce:
         with pytest.raises(ScaleCapError):
             brute_force_count(quadratic_system, 9, max_tuples=100)
 
+    def test_tuple_cap_before_the_field_is_built(self, quadratic_system, monkeypatch):
+        def unbuildable(p, n):
+            raise RuntimeError("make_field must not run past the tuple cap")
+
+        monkeypatch.setattr(ffield, "make_field", unbuildable)
+        with pytest.raises(ScaleCapError, match="80\\^2 field tuples exceed the cap 100"):
+            brute_force_count(quadratic_system, 9, max_tuples=100)
+
+
+class TestReducibleModulus:
+    # accept every candidate, so GF(2^2) is built on t^2, which is not a field
+    @pytest.fixture(autouse=True)
+    def accept_every_modulus(self, monkeypatch):
+        monkeypatch.setattr(ffield, "gf_is_irreducible", lambda a, p: True)
+
+    def test_ring_is_built_on_t_squared(self):
+        assert make_field(2, 2).modulus == (0, 0, 1)
+
+    def test_count_finds_no_generator(self):
+        system = make_system(1, 1, eqs=[(3,)])
+        with pytest.raises(ConsistencyError, match="no generator"):
+            brute_force_count(system, 4)
+
+    def test_verify_exits_3(self, capsys):
+        argv = ["verify", "--text", "field GF(q^1); vars x; eq x^3 = 1", "--q-range", "4:4"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal consistency error: no generator")
+
 
 class TestExponentSpace:
     def test_worked_example(self, quadratic_system):
@@ -130,14 +215,41 @@ def test_oracles_agree_on_corpus(corpus):
 
 
 def test_oracles_agree_on_small_random_systems():
-    rng = random.Random(3333)
-    for _ in range(25):
-        k = rng.randint(1, 2)
-        n = rng.randint(1, 2)
-        eqs, neqs = [], []
-        for _ in range(rng.randint(0, 3)):
-            row = tuple(rng.randint(-4, 4) for _ in range(k))
-            (eqs if rng.random() < 0.7 else neqs).append(row)
-        system = make_system(k, n, eqs=eqs, neqs=neqs)
+    for system in small_random_systems():
         for q0 in (2, 3, 4, 5):
             assert brute_force_count(system, q0) == exponent_space_count(system, q0)
+
+
+def test_field_oracle_matches_literal_products(corpus):
+    cases = list(corpus.items())
+    cases += [(f"random-{i}", system) for i, system in enumerate(small_random_systems())]
+    for name, system in cases:
+        for q0 in (2, 3, 4, 5):
+            assert brute_force_count(system, q0) == reference_count(system, q0), (name, q0)
+
+
+# linear exponents a*q + b
+linear_exponents = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(IntPoly)
+
+
+@st.composite
+def oracle_sized_systems(draw):
+    k = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 2))
+    rows = draw(st.lists(st.tuples(st.booleans(), st.tuples(*[linear_exponents] * k)), max_size=3))
+    eqs = [row for is_eq, row in rows if is_eq]
+    neqs = [row for is_eq, row in rows if not is_eq]
+    return make_system(k, n, eqs=eqs, neqs=neqs)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(oracle_sized_systems())
+def test_four_way_agreement(system):
+    cf = synthesize_counting_function(system)
+    for q0 in (2, 3, 4, 5):
+        if (q0**system.n - 1) ** system.k > 10**4:
+            continue
+        expected = count_at(system, q0)
+        assert counting_eval(cf, q0) == expected
+        assert exponent_space_count(system, q0) == expected
+        assert brute_force_count(system, q0) == expected
