@@ -14,7 +14,6 @@ from porcfield import (
     IntPoly,
     bezout_cofactors,
     build_indicator,
-    indicator_eval,
     parse_poly,
     porc_eval,
     synthesize_gcd_function,
@@ -47,11 +46,12 @@ for x in range(2, 10):
 # -------------------------------------
 # For a modulus m, a signed sum of gcd(x, m/d) terms over squarefree d
 # vanishes on every nonzero class and equals Euler's totient at 0 mod m.
+# It is an expression of the same gcd-combination form as d.
 
-scheme = build_indicator(12)
-print(f"\nindicator for modulus 12: prime support {scheme.primes}, terms {scheme.terms}")
+indicator = build_indicator(12)
+print(f"\nindicator for modulus 12: {indicator.render('x')}")
 print("x:      ", list(range(1, 13)))
-print("values: ", [indicator_eval(scheme, x) for x in range(1, 13)])
+print("values: ", [int(porc_eval(indicator, x)) for x in range(1, 13)])
 
 ###############################################################################
 # A family with a large modulus

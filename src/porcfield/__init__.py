@@ -25,10 +25,8 @@ from .polynomial import (
 )
 from .porc import (
     GcdPorcFunction,
-    IndicatorScheme,
     PorcExpression,
     build_indicator,
-    indicator_eval,
     porc_canonicalize,
     porc_eval,
     porc_to_residue_table,
@@ -65,7 +63,6 @@ __all__ = [
     "EQ",
     "FieldContext",
     "GcdPorcFunction",
-    "IndicatorScheme",
     "IntPoly",
     "MonomialRelation",
     "MonomialSystem",
@@ -83,7 +80,6 @@ __all__ = [
     "divisor_product",
     "evaluate_matrix",
     "exponent_space_count",
-    "indicator_eval",
     "make_field",
     "make_system",
     "maximal_minors",

@@ -17,7 +17,6 @@ runs, so subcommands without it never load it.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 
 from ._gfpoly import gf_divmod, gf_is_irreducible, gf_mul, gf_pow_mod, trial_factor
@@ -130,25 +129,28 @@ def brute_force_count(
     GF(p^(e*n)) and exponent polynomials are evaluated at q0.  The power
     tables are literal field powers, stored as discrete logs, so a product
     of table entries is 1 exactly when the sum of their logs is 0 mod
-    q0^n - 1 (the multiplicative group is cyclic).
+    q0^n - 1 (the multiplicative group is cyclic).  The tuple cap is
+    checked before q0 is factored, and a system without relations builds
+    no field.
     """
-    p, e = split_prime_power(q0)
     group = q0**system.n - 1
     if group**system.k > max_tuples:
         raise ScaleCapError(
             f"{group}^{system.k} field tuples exceed the cap {max_tuples}"
         )
-    field = make_field(p, e * system.n)
-    elements = field.nonzero_elements()
-    logs = _discrete_logs(field)
-    # one log table per (relation, unknown): table[i] = log(element_i ^ exponent)
+    p, e = split_prime_power(q0)
     checks = []
-    for rel in system.relations:
-        tables = []
-        for poly in rel.exponents:
-            beta = poly(q0) % group
-            tables.append([logs[field.pow(el, beta)] for el in elements])
-        checks.append((rel.kind == EQ, tables))
+    if system.relations:  # with no relation, nothing reads the field
+        field = make_field(p, e * system.n)
+        elements = field.nonzero_elements()
+        logs = _discrete_logs(field)
+        # one log table per (relation, unknown): table[i] = log(element_i ^ exponent)
+        for rel in system.relations:
+            tables = []
+            for poly in rel.exponents:
+                beta = poly(q0) % group
+                tables.append([logs[field.pow(el, beta)] for el in elements])
+            checks.append((rel.kind == EQ, tables))
     count = 0
     for combo in product(range(group), repeat=system.k):
         for want_eq, tables in checks:
@@ -177,18 +179,11 @@ def exponent_space_count(
         )
     import numpy as np
 
-    grid = _exponent_grid(modulus, system.k)
+    # all of Z_modulus^k as a (k, modulus^k) int64 matrix
+    grid = np.indices((modulus,) * system.k, dtype=np.int64).reshape(system.k, -1)
     ok = np.ones(grid.shape[1], dtype=bool)
     for rel in system.relations:
         row = np.array([poly(q0) % modulus for poly in rel.exponents], dtype=np.int64)
         residue = (row @ grid) % modulus
         ok &= (residue == 0) if rel.kind == EQ else (residue != 0)
     return int(ok.sum())
-
-
-@lru_cache(maxsize=8)
-def _exponent_grid(modulus: int, k: int) -> np.ndarray:
-    # all of Z_modulus^k as a (k, modulus^k) int64 matrix
-    import numpy as np
-
-    return np.indices((modulus,) * k, dtype=np.int64).reshape(k, -1)

@@ -6,7 +6,7 @@ the polynomial gcd of the family and d is periodic, expressible as
 
     d(x) = alpha + sum_i alpha_i * gcd(x - n_i, m_i)
 
-with rational coefficients, moduli m_i > 1 and shifts 0 < n_i < m_i.  This
+with rational coefficients, moduli m_i > 1 and shifts 0 <= n_i < m_i.  This
 module computes that expression exactly.
 
 The construction works prime by prime over the Bezout modulus m, with
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from ._gfpoly import gf_from_coeffs, gf_gcd, gf_roots
 from .errors import ConsistencyError, ScaleCapError
@@ -32,8 +32,6 @@ from .polynomial import IntPoly, content_and_primitive, bezout_cofactors
 #: Not read by the package; only the benchmark's route counter reads it, and with
 #: 1 it counts every family with a Bezout modulus above 1 as factored.
 LITERAL_MODULUS_CAP = 1
-#: Largest modulus for which a shift of 0 is rewritten via the constant-sum identity.
-ZERO_SHIFT_CAP = 10_000
 #: Caps on intermediate sizes in the factored construction.
 CLASS_BUDGET = 20_000
 TERM_BUDGET = 200_000
@@ -57,7 +55,7 @@ class PorcExpression:
         if self.alpha or not self.terms:
             parts.append((self.alpha < 0, str(abs(self.alpha))))
         for coeff, n, m in self.terms:
-            body = f"gcd({var}-{n},{m})"
+            body = f"gcd({var}-{n},{m})" if n else f"gcd({var},{m})"
             mag = abs(coeff)
             if mag != 1:
                 body = f"{mag}*{body}"
@@ -114,39 +112,23 @@ class GcdPorcFunction:
         return self.render()
 
 
-@dataclass(frozen=True)
-class IndicatorScheme:
-    """Signed gcd(x, m/d_T) combination vanishing off the class 0 mod m."""
-
-    m: int
-    primes: tuple[int, ...]
-    terms: tuple[tuple[int, int], ...]  # (sign, modulus), one per subset of primes
-    c: int  # value at multiples of m, equal to Euler's totient of m
-
-
 def _factorize(n: int) -> dict[int, int]:
     from sympy import factorint
 
     return {int(p): int(e) for p, e in factorint(n).items()}
 
 
-def build_indicator(m: int) -> IndicatorScheme:
-    """Subset-sum scheme for the indicator of 0 mod m, over all 2^|S| subsets."""
+def build_indicator(m: int) -> PorcExpression:
+    """Sum of mu(d) * gcd(x, m/d) over squarefree d | m.
+
+    Its value is Euler's totient of m on the class 0 mod m and 0 elsewhere.
+    """
     if m <= 1:
         raise ValueError("indicator modulus must exceed 1")
-    primes = tuple(sorted(_factorize(m)))
-    terms = []
-    for mask in range(1 << len(primes)):
-        d_t = prod(p for i, p in enumerate(primes) if mask >> i & 1)
-        sign = -1 if bin(mask).count("1") % 2 else 1
-        terms.append((sign, m // d_t))
-    c = sum(sign * mod for sign, mod in terms)
-    return IndicatorScheme(m=m, primes=primes, terms=tuple(terms), c=c)
-
-
-def indicator_eval(scheme: IndicatorScheme, x: int) -> int:
-    """Value of the signed gcd sum: 0 off the class 0 mod m, c on it."""
-    return sum(sign * gcd(x, mod) for sign, mod in scheme.terms)
+    raw = [(Fraction(1), 0, m)]
+    for p in _factorize(m):
+        raw += [(-coeff, 0, mod // p) for coeff, _, mod in raw]
+    return porc_canonicalize(PorcExpression(Fraction(0), tuple(raw)))
 
 
 def porc_eval(e: PorcExpression, x: int) -> Fraction:
@@ -157,45 +139,18 @@ def porc_eval(e: PorcExpression, x: int) -> Fraction:
     return acc
 
 
-def _pillai(m: int) -> int:
-    # sum of gcd(b, m) over one full residue system
-    return sum(gcd(b, m) for b in range(m))
-
-
-def _canonicalize(alpha: Fraction, raw_terms) -> PorcExpression:
+def porc_canonicalize(e: PorcExpression) -> PorcExpression:
+    """Reduce shifts into [0, m_i), fold m_i = 1 into alpha, merge and drop terms."""
+    alpha = e.alpha
     merged: dict[tuple[int, int], Fraction] = {}
-    queue = [(Fraction(c), n, m) for c, n, m in raw_terms]
-    while queue:
-        coeff, n, m = queue.pop()
-        if not coeff:
-            continue
+    for coeff, n, m in e.terms:
         if m == 1:
             alpha += coeff
-            continue
-        n %= m
-        if n == 0:
-            # gcd(x, m) = pillai(m) - sum over the other shifted copies
-            if m > ZERO_SHIFT_CAP:
-                raise ScaleCapError(
-                    f"zero shift with modulus {m} exceeds ZERO_SHIFT_CAP = {ZERO_SHIFT_CAP}"
-                )
-            alpha += coeff * _pillai(m)
-            for b in range(1, m):
-                queue.append((-coeff, b, m))
-            continue
-        key = (n, m)
-        merged[key] = merged.get(key, Fraction(0)) + coeff
-    terms = tuple(
-        (coeff, n, m)
-        for (n, m), coeff in sorted(merged.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-        if coeff
-    )
+        else:
+            key = (m, n % m)
+            merged[key] = merged.get(key, Fraction(0)) + coeff
+    terms = tuple((coeff, n, m) for (m, n), coeff in sorted(merged.items()) if coeff)
     return PorcExpression(alpha=alpha, terms=terms)
-
-
-def porc_canonicalize(e: PorcExpression) -> PorcExpression:
-    """Reduce shifts into (0, m_i), clear zero shifts, merge and drop terms."""
-    return _canonicalize(e.alpha, e.terms)
 
 
 def check_porc_invariants(e: PorcExpression) -> None:
@@ -204,8 +159,8 @@ def check_porc_invariants(e: PorcExpression) -> None:
     for coeff, n, m in e.terms:
         if m <= 1:
             raise ConsistencyError(f"modulus {m} must exceed 1")
-        if not 0 < n < m:
-            raise ConsistencyError(f"shift {n} outside (0, {m})")
+        if not 0 <= n < m:
+            raise ConsistencyError(f"shift {n} outside [0, {m})")
         if not coeff:
             raise ConsistencyError("zero coefficient retained")
         if (n, m) in seen:
@@ -334,7 +289,7 @@ def _synthesize_factored(fs, f: IntPoly, m0: int) -> GcdPorcFunction:
             )
         combined = new
     raw = [(Fraction(gamma * c), r, m) for c, r, m in combined]
-    d = _canonicalize(Fraction(0), raw)
+    d = porc_canonicalize(PorcExpression(Fraction(0), tuple(raw)))
     check_porc_invariants(d)
     return GcdPorcFunction(f=f, d=d, m=stored_m)
 

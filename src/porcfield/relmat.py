@@ -22,7 +22,7 @@ from .errors import ScaleCapError
 from .polynomial import IntPoly
 
 #: Limit on the number of row subsets enumerated by maximal_minors.
-DEFAULT_SUBSET_LIMIT = 10**6
+SUBSET_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -93,19 +93,19 @@ def _leading_minors(rows, k: int) -> dict[tuple[int, ...], IntPoly]:
     return level
 
 
-def maximal_minors(m: RelationMatrix, subset_limit: int = DEFAULT_SUBSET_LIMIT) -> list[IntPoly]:
+def maximal_minors(m: RelationMatrix) -> list[IntPoly]:
     """Determinants of every k-row subset, in lexicographic subset order.
 
     Zero polynomials are kept so the list always has C(rows, k) entries.
-    More than subset_limit row subsets raise ScaleCapError before any work.
+    More than SUBSET_LIMIT row subsets raise ScaleCapError before any work.
     """
     nrows = len(m.rows)
     if nrows < m.k:
         raise ValueError("fewer rows than columns")
     total = comb(nrows, m.k)
-    if total > subset_limit:
+    if total > SUBSET_LIMIT:
         raise ScaleCapError(
-            f"C({nrows}, {m.k}) = {total} row subsets exceed the subset limit {subset_limit}"
+            f"C({nrows}, {m.k}) = {total} row subsets exceed SUBSET_LIMIT = {SUBSET_LIMIT}"
         )
     minors = _leading_minors(m.rows, m.k)
     zero = IntPoly()

@@ -18,6 +18,7 @@ from porcfield import (
     bezout_cofactors,
     build_indicator,
     porc_canonicalize,
+    porc_eval,
 )
 from porcfield.errors import ConsistencyError
 from porcfield.porc import PORC_ONE
@@ -62,14 +63,16 @@ def literal_synthesis(fs) -> GcdPorcFunction:
     m = lcm(period, *profile)
     if m == 1:
         return GcdPorcFunction(f=f, d=PORC_ONE, m=1)
-    scheme = build_indicator(m)
+    k = build_indicator(m)
+    c = porc_eval(k, m)  # Euler's totient of m
     # d(x) = 1 + sum over classes a with d(a) > 1 of (d(a)-1)/c * k(x-a),
-    # using that the scaled indicators over a full residue system sum to 1
+    # where k(x-a)/c is 1 on the class a mod m and 0 elsewhere
+    alpha = Fraction(1)
     raw = []
     for i in range(m):
         w = profile[i % period] - 1
         if w:
-            for sign, mod in scheme.terms:
-                raw.append((Fraction(w * sign, scheme.c), i + 1, mod))
-    d = porc_canonicalize(PorcExpression(Fraction(1), tuple(raw)))
+            alpha += w * k.alpha / c
+            raw += [(w * coeff / c, i + 1 + n, mod) for coeff, n, mod in k.terms]
+    d = porc_canonicalize(PorcExpression(alpha, tuple(raw)))
     return GcdPorcFunction(f=f, d=d, m=m)

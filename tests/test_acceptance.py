@@ -16,7 +16,6 @@ from porcfield import (
     divisor_product,
     evaluate_matrix,
     exponent_space_count,
-    indicator_eval,
     make_system,
     maximal_minors,
     minor_gcd_at,
@@ -109,7 +108,7 @@ def test_criterion_3_gcd_synthesis_soundness_sweep():
         if all(not f for f in fs):
             continue
         g = synthesize_gcd_function(fs)
-        check_porc_invariants(g.d)  # m_i > 1, 0 < n_i < m_i, no dup/zero terms
+        check_porc_invariants(g.d)  # m_i > 1, 0 <= n_i < m_i, no dup/zero terms
         phi = _totient(g.m) if g.m > 1 else 1
         assert phi % g.d.alpha.denominator == 0
         for coeff, _, mi in g.d.terms:
@@ -131,11 +130,11 @@ def test_criterion_3_gcd_synthesis_soundness_sweep():
 def test_criterion_4_indicator_identities():
     """k(x) = 0 for 1 <= x < m and k(m) = m * prod(1 - 1/p), for m up to 500."""
     for m in range(2, 501):
-        scheme = build_indicator(m)
-        assert scheme.c == _totient(m), m
+        e = build_indicator(m)
+        check_porc_invariants(e)
         for x in range(1, m):
-            assert indicator_eval(scheme, x) == 0, (m, x)
-        assert indicator_eval(scheme, m) == scheme.c, m
+            assert porc_eval(e, x) == 0, (m, x)
+        assert porc_eval(e, m) == _totient(m), m
     _report(4, "all moduli in [2, 500], every residue checked exactly")
 
 

@@ -90,6 +90,14 @@ class TestGcdPorc:
         assert main(["gcd-porc", "--text", "x^2+x\nx^2-x"]) == 0
         assert capsys.readouterr().out.strip() == "gcd(x-1,2)*x"
 
+    def test_zero_shift_prints_one_term(self, capsys):
+        assert main(["gcd-porc", "--text", "x\n10007"]) == 0
+        assert capsys.readouterr().out == "gcd(x,10007)\n"
+        assert main(["gcd-porc", "--text", "x\n10007", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["d"]["terms"] == [
+            {"coeff": "1", "n": 0, "m": 10007}
+        ]
+
     def test_bad_polynomial_exits_1(self, capsys):
         assert main(["gcd-porc", "--text", "x^"]) == 1
         assert "error" in capsys.readouterr().err
@@ -146,6 +154,16 @@ class TestVerify:
             assert main(["verify", str(path)]) == 0, name
             capsys.readouterr()
 
+    def test_large_prime_q_skips_the_field_oracle_unfactored(self, capsys, monkeypatch):
+        import porcfield.ffield as ffield_mod
+
+        # q^n - 1 tuples exceed the cap, so q is never factored
+        monkeypatch.setattr(ffield_mod, "split_prime_power", lambda q: pytest.fail("factored q"))
+        text = "field GF(q^1); vars x; eq x^2 = 1"
+        q = "100000000000031"
+        assert main(["verify", "--text", text, "--q-range", f"{q}:{q}"]) == 0
+        assert capsys.readouterr().out == f"q={q} count=2 ok (1 checks)\n"
+
     def test_mismatch_exits_3(self, system_file, capsys, monkeypatch):
         import porcfield.cli as cli_mod
 
@@ -172,18 +190,21 @@ class TestExitCodes:
         assert main(["count", "--text", text, "--q", "3"]) == 2
         assert "blow-up" in capsys.readouterr().err
 
-    def test_porc_size_cap_is_2(self, capsys):
-        assert main(["gcd-porc", "--text", "x\n10007"]) == 2
-        assert "ZERO_SHIFT_CAP" in capsys.readouterr().err
+    def test_porc_size_cap_is_2(self, capsys, monkeypatch):
+        import porcfield.porc as porc_mod
+
+        monkeypatch.setattr(porc_mod, "TERM_BUDGET", 1)
+        assert main(["gcd-porc", "--text", "x^2\nx^2+4"]) == 2
+        assert "TERM_BUDGET" in capsys.readouterr().err
 
     def test_invariant_failure_is_3(self, capsys, monkeypatch):
         import porcfield.porc as porc_mod
 
-        # a canonicalization that keeps a zero shift breaks the invariants
-        broken = PorcExpression(Fraction(0), ((Fraction(1), 0, 2),))
-        monkeypatch.setattr(porc_mod, "_canonicalize", lambda alpha, raw: broken)
+        # a canonicalization that leaves a shift unreduced breaks the invariants
+        broken = PorcExpression(Fraction(0), ((Fraction(1), 2, 2),))
+        monkeypatch.setattr(porc_mod, "porc_canonicalize", lambda e: broken)
         assert main(["gcd-porc", "--text", "x^2+x\nx^2-x"]) == 3
-        assert "internal consistency error: shift 0 outside (0, 2)" in capsys.readouterr().err
+        assert "internal consistency error: shift 2 outside [0, 2)" in capsys.readouterr().err
 
     def test_gcd_not_dividing_is_3(self, capsys, monkeypatch):
         import porcfield.porc as porc_mod

@@ -158,8 +158,18 @@ class TestBruteForce:
             raise RuntimeError("make_field must not run past the tuple cap")
 
         monkeypatch.setattr(ffield, "make_field", unbuildable)
+        # the cap needs no factorization, so q is not factored either
+        monkeypatch.setattr(ffield, "split_prime_power", lambda q: pytest.fail("factored q"))
         with pytest.raises(ScaleCapError, match="80\\^2 field tuples exceed the cap 100"):
             brute_force_count(quadratic_system, 9, max_tuples=100)
+
+    def test_system_without_relations_builds_no_field(self, corpus, monkeypatch):
+        monkeypatch.setattr(ffield, "_discrete_logs", lambda f: pytest.fail("built logs"))
+        monkeypatch.setattr(ffield, "make_field", lambda p, n: pytest.fail("built a field"))
+        assert brute_force_count(corpus["empty-k1-n3"], 16) == 16**3 - 1
+        assert brute_force_count(corpus["empty-k2-n1"], 9) == 8**2
+        with pytest.raises(ValueError):
+            brute_force_count(corpus["empty-k1-n2"], 6)
 
 
 class TestReducibleModulus:

@@ -1,4 +1,4 @@
-"""Generated invariance checks: closed forms must not depend on input order."""
+"""Generated invariance checks: closed forms depend on the mathematics, not the input."""
 
 import json
 from itertools import permutations
@@ -6,7 +6,7 @@ from itertools import permutations
 from hypothesis import given, settings, strategies as st
 
 from porcfield import IntPoly, make_system, synthesize_counting_function, synthesize_gcd_function
-from porcfield.jsonio import counting_function_to_dict
+from porcfield.jsonio import counting_function_to_dict, gcd_function_to_dict
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -29,6 +29,19 @@ def _output(system):
     return cf.render(), json.dumps(counting_function_to_dict(cf))
 
 
+def _gcd_output(fs):
+    g = synthesize_gcd_function(fs)
+    return g.render("x"), json.dumps(gcd_function_to_dict(g))
+
+
+@st.composite
+def family_and_members(draw):
+    # a family plus the indices of two of its members, possibly the same one
+    fs = draw(families)
+    index = st.integers(0, len(fs) - 1)
+    return fs, draw(index), draw(index)
+
+
 @SETTINGS
 @given(families)
 def test_gcd_function_ignores_family_order(fs):
@@ -44,3 +57,38 @@ def test_counting_function_ignores_equation_order(shape):
     forward = _output(make_system(k, 2, eqs=rows))
     backward = _output(make_system(k, 2, eqs=rows[::-1]))
     assert backward == forward
+
+
+# each added or changed member generates the same ideal of values, so the
+# gcd function and its closed form must not change
+
+
+@SETTINGS
+@given(family_and_members())
+def test_gcd_function_ignores_a_duplicated_member(drawn):
+    fs, i, _ = drawn
+    assert _gcd_output(fs + [fs[i]]) == _gcd_output(fs)
+
+
+@SETTINGS
+@given(family_and_members())
+def test_gcd_function_ignores_a_negated_member(drawn):
+    fs, i, _ = drawn
+    assert _gcd_output(fs[:i] + [-fs[i]] + fs[i + 1:]) == _gcd_output(fs)
+
+
+@SETTINGS
+@given(family_and_members(), st.integers(-6, 6), st.integers(-6, 6))
+def test_gcd_function_ignores_an_added_combination(drawn, a, b):
+    fs, i, j = drawn
+    assert _gcd_output(fs + [fs[i] * a + fs[j] * b]) == _gcd_output(fs)
+
+
+@SETTINGS
+@given(systems())
+def test_counting_functions_have_no_zero_shift(shape):
+    # every family holds the membership minor (q^n - 1)^k, which is -1 or 1
+    # at q = 0, so no solution class of any prime is 0
+    k, rows = shape
+    cf = synthesize_counting_function(make_system(k, 2, eqs=rows))
+    assert all(n for _, g in cf.terms for _, n, _ in g.d.terms)

@@ -12,7 +12,6 @@ from porcfield import (
     PorcExpression,
     bezout_cofactors,
     build_indicator,
-    indicator_eval,
     parse_poly,
     porc_canonicalize,
     porc_eval,
@@ -51,20 +50,19 @@ def _totient(m):
 
 class TestIndicator:
     def test_modulus_12(self):
-        s = build_indicator(12)
-        assert s.primes == (2, 3)
-        assert sorted(s.terms) == [(-1, 4), (-1, 6), (1, 2), (1, 12)]
-        assert s.c == 4  # 12 * (1/2) * (2/3)
+        e = build_indicator(12)
+        assert e == expr(0, (1, 0, 2), (-1, 0, 4), (-1, 0, 6), (1, 0, 12))
+        assert porc_eval(e, 12) == 4  # 12 * (1/2) * (2/3)
 
     def test_modulus_4(self):
-        s = build_indicator(4)
-        assert set(s.terms) == {(1, 4), (-1, 2)}
-        assert s.c == 2
+        e = build_indicator(4)
+        assert e == expr(0, (-1, 0, 2), (1, 0, 4))
+        assert porc_eval(e, 4) == 2
 
     def test_modulus_2(self):
-        s = build_indicator(2)
-        assert set(s.terms) == {(1, 2), (-1, 1)}
-        assert s.c == 1
+        e = build_indicator(2)
+        assert e == expr(-1, (1, 0, 2))
+        assert porc_eval(e, 2) == 1
 
     def test_small_modulus_rejected(self):
         for m in (1, 0, -4):
@@ -73,19 +71,18 @@ class TestIndicator:
 
     def test_eval_examples(self):
         twelve = build_indicator(12)
-        assert indicator_eval(twelve, 12) == 4  # 12 - 6 - 4 + 2
-        assert indicator_eval(twelve, 7) == 0  # 1 - 1 - 1 + 1
-        assert indicator_eval(build_indicator(4), 2) == 0  # 2 - 2
+        assert porc_eval(twelve, 12) == 4  # 2 - 4 - 6 + 12
+        assert porc_eval(twelve, 7) == 0  # 1 - 1 - 1 + 1
+        assert porc_eval(build_indicator(4), 2) == 0  # -2 + 2
 
     def test_completeness_up_to_120(self):
         for m in range(2, 121):
-            s = build_indicator(m)
-            assert len(s.terms) == 2 ** len(s.primes)
-            assert s.c == _totient(m)
+            e = build_indicator(m)
+            check_porc_invariants(e)
             for x in range(1, m):
-                assert indicator_eval(s, x) == 0, (m, x)
-            assert indicator_eval(s, m) == s.c
-            assert indicator_eval(s, 0) == s.c  # 0 and m are the same class
+                assert porc_eval(e, x) == 0, (m, x)
+            assert porc_eval(e, m) == _totient(m)
+            assert porc_eval(e, 0) == _totient(m)  # 0 and m are the same class
 
 
 class TestResidueProfile:
@@ -180,7 +177,7 @@ def _check_against_oracle(fs, g):
 
 
 def test_factored_construction_agrees_with_literal():
-    # the last two exercise singular multi-level lifts and the zero-shift rewrite
+    # the last two exercise singular multi-level lifts, the last one a zero shift
     cases = [
         [P("x^2+x"), P("x^2-x")],
         [P("2*x"), P("x^2+x")],
@@ -241,12 +238,9 @@ class TestCanonicalize:
         e = porc_canonicalize(expr(0, (1, 5, 3)))
         assert e == expr(0, (1, 2, 3))
 
-    def test_zero_shift_rewrite(self):
-        e = porc_canonicalize(expr(0, (1, 0, 4)))
-        assert e == expr(8, (-1, 1, 4), (-1, 2, 4), (-1, 3, 4))
-        # the rewrite preserves the function
-        for x in range(-10, 10):
-            assert porc_eval(e, x) == gcd(x, 4)
+    def test_zero_shift_kept(self):
+        assert porc_canonicalize(expr(0, (1, 0, 4))) == expr(0, (1, 0, 4))
+        assert porc_canonicalize(expr(0, (1, 4, 4))) == expr(0, (1, 0, 4))
 
     def test_zero_coefficient_dropped(self):
         e = porc_canonicalize(expr(0, (0, 1, 2)))
@@ -261,10 +255,10 @@ class TestCanonicalize:
         assert e == expr(0, ("5/2", 1, 2))
 
     def test_invariant_checker(self):
-        with pytest.raises(ConsistencyError):
-            check_porc_invariants(expr(0, (1, 0, 4)))
-        with pytest.raises(ConsistencyError):
-            check_porc_invariants(expr(0, (1, 1, 1)))
+        check_porc_invariants(expr(0, (1, 0, 4), (1, 3, 4)))
+        for bad in ((1, 4, 4), (1, -1, 4), (1, 1, 1)):
+            with pytest.raises(ConsistencyError):
+                check_porc_invariants(expr(0, bad))
 
 
 class TestPorcEval:

@@ -11,7 +11,6 @@ PUBLIC_NAMES = [
     "EQ",
     "FieldContext",
     "GcdPorcFunction",
-    "IndicatorScheme",
     "IntPoly",
     "MonomialRelation",
     "MonomialSystem",
@@ -29,7 +28,6 @@ PUBLIC_NAMES = [
     "divisor_product",
     "evaluate_matrix",
     "exponent_space_count",
-    "indicator_eval",
     "make_field",
     "make_system",
     "maximal_minors",
@@ -49,7 +47,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 40
+    assert len(PUBLIC_NAMES) == 38
     assert sorted(porcfield.__all__) == PUBLIC_NAMES
 
 

@@ -22,6 +22,7 @@ from porcfield import (
     poly_det,
     smith_normal_form,
 )
+import porcfield.relmat as relmat
 
 Q2M1 = parse_poly("q^2-1")
 QP1 = parse_poly("q+1")
@@ -80,12 +81,14 @@ class TestMinors:
             minors = maximal_minors(m)
             assert minors == [membership_poly(n) ** k]
 
-    def test_subset_limit_raises(self):
+    def test_subset_limit_raises(self, monkeypatch):
         m = build_relation_matrix([(Q2M1, ZERO), (QP1, IntPoly([-2]))], 2, 2)
-        limit_hit = r"C\(4, 2\) = 6 row subsets exceed the subset limit 5"
+        monkeypatch.setattr(relmat, "SUBSET_LIMIT", 5)
+        limit_hit = r"C\(4, 2\) = 6 row subsets exceed SUBSET_LIMIT = 5"
         with pytest.raises(ScaleCapError, match=limit_hit):
-            maximal_minors(m, subset_limit=5)
-        assert len(maximal_minors(m, subset_limit=6)) == 6
+            maximal_minors(m)
+        monkeypatch.setattr(relmat, "SUBSET_LIMIT", 6)
+        assert len(maximal_minors(m)) == 6
 
 
 class TestEvaluate:
