@@ -9,7 +9,7 @@ symbolic pipeline: both read the parsed system and evaluate its exponents
 with ``IntPoly``, and the field oracle's arithmetic runs on ``_gfpoly``:
 multiplication and powering in GF(p^n) are ``gf_mul``, ``gf_divmod`` and
 ``gf_pow_mod`` modulo the field's modulus, the modulus comes from
-``gf_is_irreducible``, and primality comes from ``trial_factor``.  ``porc``'s
+``gf_is_irreducible``, and primality comes from ``factorize``.  ``porc``'s
 modular root finding uses the same routines; ``count_at`` and the exponent
 oracle use none of them.  numpy is imported only when the exponent oracle
 runs, so subcommands without it never load it.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from ._gfpoly import gf_divmod, gf_is_irreducible, gf_mul, gf_pow_mod, trial_factor
+from ._gfpoly import factorize, gf_divmod, gf_is_irreducible, gf_mul, gf_pow_mod
 from .errors import ConsistencyError, ScaleCapError
 from .system import EQ, MonomialSystem
 
@@ -32,7 +32,7 @@ MAX_FIELD_ORDER = 10**6
 
 def split_prime_power(q: int) -> tuple[int, int]:
     """Write q as p^e with p prime, or raise ValueError."""
-    factors = trial_factor(q)
+    factors = factorize(q)
     if len(factors) != 1:
         raise ValueError(f"{q} is not a prime power")
     [(p, e)] = factors.items()
@@ -80,7 +80,7 @@ class FieldContext:
 
 def make_field(p: int, n: int) -> FieldContext:
     """GF(p^n) with the first irreducible modulus in base-p counting order."""
-    if trial_factor(p) != {p: 1}:
+    if factorize(p) != {p: 1}:
         raise ValueError(f"{p} is not prime")
     if n < 1:
         raise ValueError("extension degree must be at least 1")

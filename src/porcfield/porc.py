@@ -16,7 +16,8 @@ h_i(x) = 0 mod p^j are found by root extraction and Hensel-style lifting,
 each contributing a difference gcd(x-c, p^j) - gcd(x-c, p^(j-1)), and the
 per-prime pieces are multiplied out via CRT.  Only the prime factorization
 of the modulus enters the result, so the closed form does not depend on the
-order of the family.
+order of the family; ``_gfpoly.factorize`` computes it, and past its
+``FACTOR_STEP_CAP`` the synthesis raises ScaleCapError.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from ._gfpoly import gf_from_coeffs, gf_gcd, gf_roots
+from ._gfpoly import factorize, gf_from_coeffs, gf_gcd, gf_roots
 from .errors import ConsistencyError, ScaleCapError
 from .polynomial import IntPoly, content_and_primitive, bezout_cofactors
 
@@ -112,12 +113,6 @@ class GcdPorcFunction:
         return self.render()
 
 
-def _factorize(n: int) -> dict[int, int]:
-    from sympy import factorint
-
-    return {int(p): int(e) for p, e in factorint(n).items()}
-
-
 def build_indicator(m: int) -> PorcExpression:
     """Sum of mu(d) * gcd(x, m/d) over squarefree d | m.
 
@@ -126,7 +121,7 @@ def build_indicator(m: int) -> PorcExpression:
     if m <= 1:
         raise ValueError("indicator modulus must exceed 1")
     raw = [(Fraction(1), 0, m)]
-    for p in _factorize(m):
+    for p in factorize(m):
         raw += [(-coeff, 0, mod // p) for coeff, _, mod in raw]
     return porc_canonicalize(PorcExpression(Fraction(0), tuple(raw)))
 
@@ -260,7 +255,7 @@ def _synthesize_factored(fs, f: IntPoly, m0: int) -> GcdPorcFunction:
     reduced = m0 // gamma
     local_lists = []
     stored_m = gamma
-    factors = _factorize(reduced)
+    factors = factorize(reduced)
     for p in sorted(factors):
         levels = _solution_levels(hs, p, factors[p])
         if not levels:

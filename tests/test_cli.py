@@ -265,15 +265,39 @@ class TestExitCodes:
         assert capsys.readouterr().out == "q=2 count=1 ok (1 checks)\nq=3 count=2 ok (1 checks)\n"
 
 
-def test_cli_import_leaves_numpy_and_sympy_unloaded():
-    # only the exponent oracle and the modulus factorization need them
-    code = "import sys, porcfield.cli; print(sorted({'numpy', 'sympy'} & set(sys.modules)))"
+def _fresh_python(code, *args):
+    """Stdout of `code` run by a new interpreter that imports porcfield from src/."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_cli_import_leaves_numpy_and_sympy_unloaded():
+    # only the exponent oracle needs numpy
+    code = "import sys, porcfield.cli; print(sorted({'numpy', 'sympy'} & set(sys.modules)))"
+    assert _fresh_python(code) == "[]"
+
+
+def test_subcommands_never_load_sympy(system_file):
+    # the Bezout modulus is factored in the package
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from porcfield.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    runs = [
+        ["synthesize", system_file],
+        ["table", system_file],
+        ["verify", system_file, "--q-range", "2:5"],
+        ["gcd-porc", "--text", "x^5-3*x^2+7\n2*x^4+x-9"],
+    ]
+    assert _fresh_python(code, json.dumps(runs)) == "False"
 
 
 class TestOptions:

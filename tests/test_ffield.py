@@ -128,8 +128,13 @@ class TestSplitPrimePower:
         assert split_prime_power(8) == (2, 3)
         assert split_prime_power(7) == (7, 1)
 
+    def test_large_prime_powers(self):
+        # trial division up to sqrt(q) would take about 1.5e9 steps on the first
+        assert split_prime_power(2**61 - 1) == (2**61 - 1, 1)
+        assert split_prime_power(3**40) == (3, 40)
+
     def test_rejects_others(self):
-        for q in (1, 6, 12, 100):
+        for q in (1, 6, 12, 100, (10**9 + 7) * 998244353):
             with pytest.raises(ValueError):
                 split_prime_power(q)
 
