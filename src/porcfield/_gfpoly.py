@@ -16,6 +16,7 @@ division, the Baillie-PSW primality test and Pollard-Brent rho under
 
 from __future__ import annotations
 
+from itertools import compress
 from math import gcd, isqrt
 
 from .errors import ScaleCapError
@@ -128,8 +129,19 @@ def gf_roots(a: list[int], p: int) -> list[int]:
 #: composite cofactors; a prime factor near P costs about sqrt(P) steps.
 FACTOR_STEP_CAP = 1_000_000
 
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    """Sieve of Eratosthenes."""
+    flags = bytearray([1]) * n
+    flags[:2] = b"\0\0"
+    for d in range(2, isqrt(n) + 1):
+        if flags[d]:
+            flags[d * d :: d] = bytes(len(range(d * d, n, d)))
+    return tuple(compress(range(n), flags))
+
+
 # trial divisors; a cofactor with none of them as a factor is prime below 997^2
-_SMALL_PRIMES = tuple(d for d in range(2, 1000) if all(d % k for k in range(2, isqrt(d) + 1)))
+_SMALL_PRIMES = _primes_below(1000)
 
 
 def factorize(n: int) -> dict[int, int]:

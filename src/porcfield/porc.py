@@ -255,9 +255,8 @@ def _synthesize_factored(fs, f: IntPoly, m0: int) -> GcdPorcFunction:
     reduced = m0 // gamma
     local_lists = []
     stored_m = gamma
-    factors = factorize(reduced)
-    for p in sorted(factors):
-        levels = _solution_levels(hs, p, factors[p])
+    for p, e in factorize(reduced).items():
+        levels = _solution_levels(hs, p, e)
         if not levels:
             continue
         stored_m *= p ** len(levels)

@@ -1,5 +1,7 @@
 """The package's one integer factorizer: trial division, BPSW and Pollard-Brent rho."""
 
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +16,7 @@ SETTINGS = settings(derandomize=True, database=None, max_examples=300, deadline=
 def _sieve(limit):
     flags = [True] * limit
     flags[:2] = [False, False]
-    for d in range(2, int(limit**0.5) + 1):
+    for d in range(2, isqrt(limit) + 1):
         if flags[d]:
             flags[d * d :: d] = [False] * len(flags[d * d :: d])
     return [d for d, prime in enumerate(flags) if prime]
@@ -22,11 +24,6 @@ def _sieve(limit):
 
 # small primes, primes around the trial-division bound, and primes rho must find
 PRIMES = _sieve(2000) + [p for p in _sieve(1_000_100) if p > 999_900]
-
-
-@pytest.mark.parametrize("n", [0, 1])
-def test_zero_and_one_have_no_factors(n):
-    assert factorize(n) == {}
 
 
 @given(st.dictionaries(st.sampled_from(PRIMES), st.integers(1, 4), min_size=1, max_size=4))
@@ -43,6 +40,8 @@ def test_products_of_known_primes(expected):
 @pytest.mark.parametrize(
     "n, expected",
     [
+        (0, {}),
+        (1, {}),
         # Carmichael numbers
         (561, {3: 1, 11: 1, 17: 1}),
         (41041, {7: 1, 11: 1, 13: 1, 41: 1}),
@@ -51,10 +50,14 @@ def test_products_of_known_primes(expected):
         (2047, {23: 1, 89: 1}),
         (3215031751, {151: 1, 751: 1, 28351: 1}),
         (3825123056546413051, {149491: 1, 747451: 1, 34233211: 1}),
+        # a strong Lucas pseudoprime for Selfridge's parameters
+        (2263127, {1063: 1, 2129: 1}),
         # Mersenne and Fermat numbers
         (2**61 - 1, {2**61 - 1: 1}),
         (2**67 - 1, {193707721: 1, 761838257287: 1}),
         (2**64 + 1, {274177: 1, 67280421310721: 1}),
+        # a prime power whose root is far beyond rho's reach
+        ((2**61 - 1) ** 3, {2**61 - 1: 3}),
     ],
 )
 def test_known_factorizations(n, expected):
