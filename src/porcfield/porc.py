@@ -17,7 +17,9 @@ each contributing a difference gcd(x-c, p^j) - gcd(x-c, p^(j-1)), and the
 per-prime pieces are multiplied out via CRT.  Only the prime factorization
 of the modulus enters the result, so the closed form does not depend on the
 order of the family; ``_gfpoly.factorize`` computes it, and past its
-``FACTOR_STEP_CAP`` the synthesis raises ScaleCapError.
+``FACTOR_STEP_CAP`` the synthesis raises ScaleCapError.  Any other integer
+of the family's ideal gives the same closed form, so a modulus of 2^64 or
+more is first cut down by ``_shrink_modulus``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from math import gcd, lcm
 
 from ._gfpoly import factorize, gf_from_coeffs, gf_gcd, gf_roots
 from .errors import ConsistencyError, ScaleCapError
-from .polynomial import IntPoly, content_and_primitive, bezout_cofactors
+from .polynomial import IntPoly, _ext_euclid, bezout_cofactors, content_and_primitive
 
 #: Not read by the package; only the benchmark's route counter reads it, and with
 #: 1 it counts every family with a Bezout modulus above 1 as factored.
@@ -241,6 +243,27 @@ def _solution_levels(hs, p: int, e: int) -> list[list[int]]:
     return levels
 
 
+def _shrink_modulus(hs, m: int) -> int:
+    """A divisor of m that, like m, is a positive integer in the ideal (h_1, ..., h_s).
+
+    For each h_i coprime to h_1 over Q, the fraction-free extended Euclid gives
+    s*h_1 + t*h_i = c, a nonzero integer; the gcd of m and every such c stays
+    in the ideal.  Every solution level of the family lies below the prime
+    powers of any integer of the ideal, so factoring the divisor loses none.
+    The Bezout modulus m, built by one order-dependent fold, can be
+    resultant-sized where the divisor is small.  Below 2^64 a composite
+    cofactor has a prime below 2^32, which rho finds in about 10^5 steps,
+    well within FACTOR_STEP_CAP, so a smaller m is left as it is.
+    """
+    for h in hs[1:]:
+        if m.bit_length() <= 64:
+            break
+        g = _ext_euclid(hs[0], h)[0]
+        if g.degree == 0:
+            m = gcd(m, g.coeffs[0])
+    return m
+
+
 def _synthesize_factored(fs, f: IntPoly, m0: int) -> GcdPorcFunction:
     try:
         hs = [p.exact_div(f) for p in fs if p]
@@ -252,10 +275,9 @@ def _synthesize_factored(fs, f: IntPoly, m0: int) -> GcdPorcFunction:
     hs = [IntPoly(tuple(c // gamma for c in h.coeffs)) for h in hs]
     if m0 % gamma:
         raise ConsistencyError("family content does not divide the Bezout modulus")
-    reduced = m0 // gamma
     local_lists = []
     stored_m = gamma
-    for p, e in factorize(reduced).items():
+    for p, e in factorize(_shrink_modulus(hs, m0 // gamma)).items():
         levels = _solution_levels(hs, p, e)
         if not levels:
             continue

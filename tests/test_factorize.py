@@ -64,6 +64,25 @@ def test_known_factorizations(n, expected):
     assert factorize(n) == expected
 
 
+@pytest.mark.parametrize(
+    "n",
+    [
+        # the least strong pseudoprimes to the first 12 and the first 13 prime
+        # bases: Miller-Rabin on the primes up to 37 calls both prime
+        399165290221 * 798330580441,
+        1287836182261 * 2575672364521,
+    ],
+)
+def test_strong_pseudoprimes_to_many_bases_are_composite(n):
+    assert not gfpoly._is_prime(n)
+
+
+def test_the_largest_semiprime_of_two_32_bit_primes_stays_under_the_cap():
+    # below 2^64 a modulus is factored without first being shrunk
+    p, q = 4294967291, 4294967279
+    assert factorize(p * q) == {q: 1, p: 1}
+
+
 def test_step_cap_names_the_cap(monkeypatch):
     monkeypatch.setattr(gfpoly, "FACTOR_STEP_CAP", 10)
     with pytest.raises(ScaleCapError, match="13-digit cofactor exceeds FACTOR_STEP_CAP = 10"):

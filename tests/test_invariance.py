@@ -3,9 +3,16 @@
 import json
 from itertools import permutations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from porcfield import IntPoly, make_system, synthesize_counting_function, synthesize_gcd_function
+import porcfield.porc as porc
+from porcfield import (
+    IntPoly,
+    bezout_cofactors,
+    make_system,
+    synthesize_counting_function,
+    synthesize_gcd_function,
+)
 from porcfield.jsonio import counting_function_to_dict, gcd_function_to_dict
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -82,6 +89,23 @@ def test_gcd_function_ignores_a_negated_member(drawn):
 def test_gcd_function_ignores_an_added_combination(drawn, a, b):
     fs, i, j = drawn
     assert _gcd_output(fs + [fs[i] * a + fs[j] * b]) == _gcd_output(fs)
+
+
+# two primes beyond the reach of rho within FACTOR_STEP_CAP
+UNFACTORABLE = 10000000000037 * 20000000000021
+
+
+@SETTINGS
+@given(families)
+def test_gcd_function_ignores_a_multiple_of_the_modulus(fs):
+    # any integer of the family's ideal serves as the modulus; a multiple of
+    # the Bezout modulus by two large primes must be shrunk before factoring
+    f, _, m = bezout_cofactors(fs)
+    if m == 1:
+        return
+    hs = [p.exact_div(f) for p in fs if p]
+    assume(any(bezout_cofactors([hs[0], h])[0] == IntPoly([1]) for h in hs[1:]))
+    assert porc._synthesize_factored(fs, f, m * UNFACTORABLE) == synthesize_gcd_function(fs)
 
 
 @SETTINGS

@@ -211,6 +211,18 @@ def test_gcd_that_does_not_divide_is_a_consistency_error(monkeypatch):
         synthesize_gcd_function([P("x^2+x"), P("x^2-x")])
 
 
+def test_bezout_modulus_beyond_the_step_cap_is_shrunk_first():
+    # x and x + 2*P give the Bezout modulus 2*P, P = 10000000000037 * 20000000000021,
+    # whose primes rho cannot find within FACTOR_STEP_CAP; x and x + 6 give 6, and
+    # gcd(2*P, 6) = 2 is the modulus the synthesis factors
+    big = 2 * 10000000000037 * 20000000000021
+    fs = [P("x"), P("x") + big, P("x+6")]
+    assert bezout_cofactors(fs)[2] == big
+    g = synthesize_gcd_function(fs)
+    assert (g.f, g.d, g.m) == (P("1"), expr(0, (1, 0, 2)), 2)
+    _check_soundness(fs, g)
+
+
 def test_synthesis_soundness_random_sweep():
     rng = random.Random(8208)
     done = compared = 0
