@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import compress
 from math import gcd, isqrt
 
-from .errors import ScaleCapError
+from .errors import ConsistencyError, ScaleCapError
 
 
 def gf_trim(a: list[int]) -> list[int]:
@@ -94,9 +94,13 @@ def gf_eval(a: list[int], x: int, p: int) -> int:
 
 
 def gf_roots(a: list[int], p: int) -> list[int]:
-    """Distinct roots of the nonzero polynomial a over GF(p), sorted."""
+    """Distinct roots of the nonzero polynomial a over GF(p), sorted.
+
+    Callers divide out the content first, so a zero polynomial here is an
+    internal invariant failure.
+    """
     if not a:
-        raise ValueError("zero polynomial has every residue as a root")
+        raise ConsistencyError("zero polynomial has every residue as a root")
     if p <= 64 or len(a) - 1 >= p:
         return [x for x in range(p) if gf_eval(a, x, p) == 0]
     # keep only distinct linear factors: gcd(x^p - x, a)

@@ -2,8 +2,8 @@
 
 Two structurally different ground truths for solution counts: literal
 enumeration of field-element tuples in an explicitly constructed GF(p^n),
-and enumeration of exponent tuples solving the corresponding linear
-congruences mod q^n - 1.  Neither uses the relation matrix, its minors,
+and a meet-in-the-middle count of the exponent tuples solving the
+corresponding linear congruences mod q^n - 1.  Neither uses the relation matrix, its minors,
 the gcd synthesis or the Smith normal form.  What they share with the
 symbolic pipeline: both read the parsed system and evaluate its exponents
 with ``IntPoly``, and the field oracle's arithmetic runs on ``_gfpoly``:
@@ -11,13 +11,14 @@ multiplication and powering in GF(p^n) are ``gf_mul``, ``gf_divmod`` and
 ``gf_pow_mod`` modulo the field's modulus, the modulus comes from
 ``gf_is_irreducible``, and primality comes from ``factorize``.  ``porc``'s
 modular root finding uses the same routines; ``count_at`` and the exponent
-oracle use none of them.  numpy is imported only when the exponent oracle
-runs, so subcommands without it never load it.
+oracle use none of them.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from itertools import product
+from operator import ne
 
 from ._gfpoly import factorize, gf_divmod, gf_is_irreducible, gf_mul, gf_pow_mod
 from .errors import ConsistencyError, ScaleCapError
@@ -169,6 +170,13 @@ def exponent_space_count(
 
     Equations demand sum(beta_i * m_i) = 0 mod q0^n - 1, inequations demand
     the opposite; membership is automatic.  Works for any integer q0 >= 2.
+
+    Meet in the middle (Horowitz and Sahni 1974): one histogram of residue
+    vectors, one residue per relation, over the first k//2 unknowns and one
+    over the rest, each folded one unknown at a time.  A pair of vectors
+    solves the system when their sum is zero in every equation coordinate
+    and nonzero in every inequation coordinate.  The cap still counts the
+    (q0^n - 1)^k tuples this covers, not histogram entries.
     """
     if q0 < 2:
         raise ValueError("q must be at least 2")
@@ -177,13 +185,37 @@ def exponent_space_count(
         raise ScaleCapError(
             f"{modulus}^{system.k} exponent tuples exceed the cap {max_tuples}"
         )
-    import numpy as np
+    # equations first, so each residue vector starts with its equation coordinates
+    relations = sorted(system.relations, key=lambda rel: rel.kind != EQ)
+    n_eq = len(system.equations)
+    rows = [[poly(q0) % modulus for poly in rel.exponents] for rel in relations]
 
-    # all of Z_modulus^k as a (k, modulus^k) int64 matrix
-    grid = np.indices((modulus,) * system.k, dtype=np.int64).reshape(system.k, -1)
-    ok = np.ones(grid.shape[1], dtype=bool)
-    for rel in system.relations:
-        row = np.array([poly(q0) % modulus for poly in rel.exponents], dtype=np.int64)
-        residue = (row @ grid) % modulus
-        ok &= (residue == 0) if rel.kind == EQ else (residue != 0)
-    return int(ok.sum())
+    def step(i):
+        # residue vectors of m * beta over m in Z_modulus, for unknown i
+        if not rows:
+            return {(): modulus}
+        return Counter(zip(*([m * row[i] % modulus for m in range(modulus)] for row in rows)))
+
+    def histogram(unknowns):
+        if not unknowns:
+            return {(0,) * len(rows): 1}
+        hist = step(unknowns[0])
+        for i in unknowns[1:]:
+            folded = Counter()
+            for b, cb in step(i).items():
+                for a, ca in hist.items():
+                    folded[tuple([(x + y) % modulus for x, y in zip(a, b)])] += ca * cb
+            hist = folded
+        return hist
+
+    half = system.k // 2
+    buckets = defaultdict(list)
+    for b, cb in histogram(range(half, system.k)).items():
+        buckets[b[:n_eq]].append((b[n_eq:], cb))
+    count = 0
+    for a, ca in histogram(range(half)).items():
+        avoid = [-x % modulus for x in a[n_eq:]]
+        for tail, cb in buckets.get(tuple([-x % modulus for x in a[:n_eq]]), ()):
+            if all(map(ne, tail, avoid)):
+                count += ca * cb
+    return count

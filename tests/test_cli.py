@@ -276,28 +276,28 @@ def _fresh_python(code, *args):
 
 
 def test_cli_import_leaves_numpy_and_sympy_unloaded():
-    # only the exponent oracle needs numpy
     code = "import sys, porcfield.cli; print(sorted({'numpy', 'sympy'} & set(sys.modules)))"
     assert _fresh_python(code) == "[]"
 
 
-def test_subcommands_never_load_sympy(system_file):
-    # the Bezout modulus is factored in the package
+def test_subcommands_never_load_numpy_or_sympy(system_file):
+    # the Bezout modulus is factored and the exponent oracle counts in the package
     code = (
         "import contextlib, io, json, sys\n"
         "from porcfield.cli import main\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
-        "print('sympy' in sys.modules)\n"
+        "print(sorted({'numpy', 'sympy'} & set(sys.modules)))\n"
     )
     runs = [
         ["synthesize", system_file],
+        ["count", system_file, "--q", "3"],
         ["table", system_file],
         ["verify", system_file, "--q-range", "2:5"],
         ["gcd-porc", "--text", "x^5-3*x^2+7\n2*x^4+x-9"],
     ]
-    assert _fresh_python(code, json.dumps(runs)) == "False"
+    assert _fresh_python(code, json.dumps(runs)) == "[]"
 
 
 class TestOptions:

@@ -216,6 +216,13 @@ class TestExponentSpace:
         with pytest.raises(ScaleCapError):
             exponent_space_count(make_system(3, 2), 9, max_tuples=1000)
 
+    def test_tuple_cap_boundary(self, quadratic_system):
+        # the cap counts the 8^2 tuples of Z_8^2 at q = 3, n = 2, not histogram entries
+        assert exponent_space_count(quadratic_system, 3, max_tuples=64) == 12
+        with pytest.raises(ScaleCapError) as info:
+            exponent_space_count(quadratic_system, 3, max_tuples=63)
+        assert str(info.value) == "8^2 exponent tuples exceed the cap 63"
+
 
 def test_oracles_agree_on_corpus(corpus):
     for name, system in corpus.items():
@@ -268,3 +275,46 @@ def test_four_way_agreement(system):
         assert counting_eval(cf, q0) == expected
         assert exponent_space_count(system, q0) == expected
         assert brute_force_count(system, q0) == expected
+
+
+# the exponent oracle's cap in the property below; every draw fits under it
+ENUMERATION_CAP = 1024
+
+
+@st.composite
+def exponent_oracle_cases(draw):
+    # a system, a q0 whose (q0^n - 1)^k tuples fit the cap, and a permutation
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 2))
+    rows = st.lists(st.tuples(*[linear_exponents] * k), max_size=3)
+    eqs, neqs = draw(rows), draw(rows)
+    q_max = max(q0 for q0 in range(2, 10) if (q0**n - 1) ** k <= ENUMERATION_CAP)
+    q0 = draw(st.integers(2, q_max))
+    return k, n, eqs, neqs, q0, draw(st.permutations(range(k)))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(exponent_oracle_cases())
+def test_exponent_oracle_matches_a_literal_product_count(case):
+    k, n, eqs, neqs, q0, order = case
+    modulus = q0**n - 1
+    relations = [([e(q0) for e in row], True) for row in eqs]
+    relations += [([e(q0) for e in row], False) for row in neqs]
+    expected = 0
+    for ms in product(range(modulus), repeat=k):
+        if all(
+            (sum(b * m for b, m in zip(betas, ms)) % modulus == 0) == is_eq
+            for betas, is_eq in relations
+        ):
+            expected += 1
+    # the cap admits exactly modulus^k tuples
+    count = exponent_space_count(make_system(k, n, eqs, neqs), q0, max_tuples=modulus**k)
+    assert count == expected
+    # permuting the unknowns moves the split between the two halves
+    permuted = make_system(
+        k,
+        n,
+        [tuple(row[i] for i in order) for row in eqs],
+        [tuple(row[i] for i in order) for row in neqs],
+    )
+    assert exponent_space_count(permuted, q0, max_tuples=modulus**k) == expected

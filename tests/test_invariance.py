@@ -31,6 +31,15 @@ def systems(draw):
     return k, rows
 
 
+@st.composite
+def systems_with_permutation(draw):
+    # k unknowns, equations and inequations, and a permutation of the unknowns
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3))
+    rows = st.lists(st.tuples(*[exponents] * k), max_size=2)
+    return k, n, draw(rows), draw(rows), draw(st.permutations(range(k)))
+
+
 def _output(system):
     cf = synthesize_counting_function(system)
     return cf.render(), json.dumps(counting_function_to_dict(cf))
@@ -64,6 +73,18 @@ def test_counting_function_ignores_equation_order(shape):
     forward = _output(make_system(k, 2, eqs=rows))
     backward = _output(make_system(k, 2, eqs=rows[::-1]))
     assert backward == forward
+
+
+@SETTINGS
+@given(systems_with_permutation())
+def test_counting_function_ignores_the_order_of_the_unknowns(drawn):
+    k, n, eqs, neqs, order = drawn
+
+    def permuted(rows):
+        return [tuple(row[i] for i in order) for row in rows]
+
+    forward = _output(make_system(k, n, eqs=eqs, neqs=neqs))
+    assert _output(make_system(k, n, eqs=permuted(eqs), neqs=permuted(neqs))) == forward
 
 
 # each added or changed member generates the same ideal of values, so the

@@ -19,6 +19,7 @@ from porcfield import (
     synthesize_gcd_function,
 )
 import porcfield.porc as porc
+from porcfield.cli import main
 from porcfield.errors import ConsistencyError, ScaleCapError
 from porcfield.porc import PORC_ONE, check_porc_invariants
 
@@ -209,6 +210,15 @@ def test_gcd_that_does_not_divide_is_a_consistency_error(monkeypatch):
     monkeypatch.setattr(porc, "bezout_cofactors", lambda fs: (P("x+2"), [], 2))
     with pytest.raises(ConsistencyError, match="does not divide"):
         synthesize_gcd_function([P("x^2+x"), P("x^2-x")])
+
+
+def test_zero_gcd_mod_p_exits_3(monkeypatch, capsys):
+    # the content is divided out, so the members' gcd mod p is never zero
+    monkeypatch.setattr(porc, "gf_gcd", lambda a, b, p: [])
+    assert main(["gcd-porc", "--text", "x^2+x\nx^2-x"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal consistency error: zero polynomial")
 
 
 def test_bezout_modulus_beyond_the_step_cap_is_shrunk_first():

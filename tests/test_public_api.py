@@ -1,8 +1,15 @@
-"""The package's public names, pinned."""
+"""The package's public names and runtime dependencies, pinned."""
 
+import ast
 import importlib
+import sys
+from pathlib import Path
+
+import pytest
 
 import porcfield
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC_NAMES = [
     "ConsistencyError",
@@ -62,3 +69,22 @@ def test_one_polynomial_class():
 
     assert not hasattr(porcfield, "RatPoly")
     assert not hasattr(porcfield.polynomial, "RatPoly")
+
+
+def test_package_imports_only_the_standard_library():
+    for path in sorted((ROOT / "src" / "porcfield").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def test_no_runtime_dependencies_are_declared():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []
