@@ -3,15 +3,15 @@
 Two structurally different ground truths for solution counts: literal
 enumeration of field-element tuples in an explicitly constructed GF(p^n),
 and a meet-in-the-middle count of the exponent tuples solving the
-corresponding linear congruences mod q^n - 1.  Neither uses the relation matrix, its minors,
-the gcd synthesis or the Smith normal form.  What they share with the
-symbolic pipeline: both read the parsed system and evaluate its exponents
-with ``IntPoly``, and the field oracle's arithmetic runs on ``_gfpoly``:
-multiplication and powering in GF(p^n) are ``gf_mul``, ``gf_divmod`` and
-``gf_pow_mod`` modulo the field's modulus, the modulus comes from
-``gf_is_irreducible``, and primality comes from ``factorize``.  ``porc``'s
-modular root finding uses the same routines; ``count_at`` and the exponent
-oracle use none of them.
+corresponding linear congruences mod q^n - 1.  Neither uses the relation
+matrix, its minors, the gcd synthesis or the Smith normal form.  What they
+share with the symbolic pipeline: both read the parsed system and evaluate
+its exponents with ``IntPoly``, and the field oracle's arithmetic runs on
+``_gfpoly``: multiplication and powering in GF(p^n) are ``gf_mul``,
+``gf_divmod`` and ``gf_pow_mod`` modulo the field's modulus, the modulus
+comes from ``gf_is_irreducible``, and primality comes from ``factorize``.
+``porc``'s modular root finding uses the same routines; ``count_at`` and
+the exponent oracle use none of them.
 """
 
 from __future__ import annotations
@@ -194,7 +194,8 @@ def exponent_space_count(
         # residue vectors of m * beta over m in Z_modulus, for unknown i
         if not rows:
             return {(): modulus}
-        return Counter(zip(*([m * row[i] % modulus for m in range(modulus)] for row in rows)))
+        columns = [[m * row[i] % modulus for m in range(modulus)] for row in rows]
+        return Counter(zip(*columns))
 
     def histogram(unknowns):
         if not unknowns:
