@@ -9,17 +9,19 @@ the polynomial gcd of the family and d is periodic, expressible as
 with rational coefficients, moduli m_i > 1 and shifts 0 <= n_i < m_i.  This
 module computes that expression exactly.
 
-The construction works prime by prime over the Bezout modulus m, with
-sum(f_i * G_i) = m * f for integer cofactors G_i (for random families m is
-resultant-sized, far beyond any per-residue loop): the solution classes of
+The construction works prime by prime over a modulus m, a positive integer
+with m * f in the ideal (f_1, ..., f_s) of Z[x].  It comes from a gcd fold
+that builds no cofactors (``_gcd_fold``); for random families m is
+resultant-sized, far beyond any per-residue loop.  The solution classes of
 h_i(x) = 0 mod p^j are found by root extraction and Hensel-style lifting,
 each contributing a difference gcd(x-c, p^j) - gcd(x-c, p^(j-1)), and the
 per-prime pieces are multiplied out via CRT.  Only the prime factorization
-of the modulus enters the result, so the closed form does not depend on the
-order of the family; ``_gfpoly.factorize`` computes it, and past its
-``FACTOR_STEP_CAP`` the synthesis raises ScaleCapError.  Any other integer
-of the family's ideal gives the same closed form, so a modulus of 2^64 or
-more is first cut down by ``_shrink_modulus``.
+of the modulus enters the result, and any integer of the family's ideal
+gives the same closed form, so neither the order of the family nor the fold
+that produced m shows in it.  ``_gfpoly.factorize`` computes the
+factorization, and past its ``FACTOR_STEP_CAP`` the synthesis raises
+ScaleCapError; a modulus of 2^64 or more is first cut down by
+``_shrink_modulus``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,10 @@ from math import gcd, lcm
 
 from ._gfpoly import factorize, gf_from_coeffs, gf_gcd, gf_roots
 from .errors import ConsistencyError, ScaleCapError
-from .polynomial import IntPoly, _ext_euclid, bezout_cofactors, content_and_primitive
+from .polynomial import IntPoly, _ext_euclid, content_and_primitive
+
+# Not called here; the benchmark's tracer wraps porcfield.porc.bezout_cofactors.
+from .polynomial import bezout_cofactors  # noqa: F401
 
 #: Not read by the package; only the benchmark's route counter reads it, and with
 #: 1 it counts every family with a Bezout modulus above 1 as factored.
@@ -165,13 +170,41 @@ def check_porc_invariants(e: PorcExpression) -> None:
         seen.add((n, m))
 
 
-def synthesize_gcd_function(fs) -> GcdPorcFunction:
+def _gcd_fold(fs, f: IntPoly | None = None, m: int = 0) -> tuple[IntPoly, int]:
+    """(f, m): the primitive gcd f of the members and an integer m >= 1 with m*f in their ideal.
+
+    f has a positive leading coefficient.  Pass the (f, m) of an earlier fold
+    to fold more members into the same family.  The fold keeps no cofactors:
+    for a member p, the fraction-free extended Euclid gives h = s*f + t*p,
+    and m*h = s*(m*f) + (t*m)*p lies in the ideal, so when h's primitive part
+    g is a new gcd, m*|content(h)| is the modulus of g.  When g equals f, m
+    stays, and once f is 1 no member can change it.
+    """
+    for p in fs:
+        if f is not None and f.degree == 0:
+            break
+        if not p:
+            continue
+        if f is None:
+            c, f = content_and_primitive(p)
+            m = abs(c)
+            continue
+        c, g = content_and_primitive(_ext_euclid(f, p)[0])
+        if g != f:
+            f, m = g, m * abs(c)
+    if f is None:
+        raise ValueError("gcd of an all-zero family is undefined")
+    return f, m
+
+
+def synthesize_gcd_function(fs, fold: tuple[IntPoly, int] | None = None) -> GcdPorcFunction:
     """Closed PORC form of x -> gcd(f_1(x), ..., f_s(x)).
 
     Needs at least one nonzero member.  The result satisfies
     value_at(x) == gcd of the family values for every x with f(x) != 0.
+    A caller that has already folded the family passes its (f, m) as fold.
     """
-    f, _, m0 = bezout_cofactors(fs)
+    f, m0 = _gcd_fold(fs) if fold is None else fold
     if m0 == 1:
         return GcdPorcFunction(f=f, d=PORC_ONE, m=1)
     return _synthesize_factored(fs, f, m0)
@@ -197,11 +230,13 @@ def _solution_levels(hs, p: int, e: int) -> list[list[int]]:
     g = []
     for h in hs:
         g = gf_gcd(g, gf_from_coeffs(h.coeffs, p), p)
+        if len(g) == 1:
+            return []
     level = gf_roots(g, p)
     if not level:
         return []
     levels = [sorted(level)]
-    ds = [h.derivative() for h in hs]
+    ds = [h.derivative() for h in hs] if e > 1 else []
     for j in range(2, e + 1):
         pj1 = p ** (j - 1)
         cur: list[int] = []
@@ -248,14 +283,15 @@ def _shrink_modulus(hs, m: int) -> int:
 
     For each h_i coprime to h_1 over Q, the fraction-free extended Euclid gives
     s*h_1 + t*h_i = c, a nonzero integer; the gcd of m and every such c stays
-    in the ideal.  Every solution level of the family lies below the prime
-    powers of any integer of the ideal, so factoring the divisor loses none.
-    The Bezout modulus m, built by one order-dependent fold, can be
-    resultant-sized where the divisor is small.  Below 2^64 a composite
+    in the ideal.  h_1 itself counts when it is constant, as it is when a
+    family's members all equal its gcd.  Every solution level of the family
+    lies below the prime powers of any integer of the ideal, so factoring the
+    divisor loses none.  The modulus m, built by one order-dependent fold, can
+    be resultant-sized where the divisor is small.  Below 2^64 a composite
     cofactor has a prime below 2^32, which rho finds in about 10^5 steps,
     well within FACTOR_STEP_CAP, so a smaller m is left as it is.
     """
-    for h in hs[1:]:
+    for h in hs:
         if m.bit_length() <= 64:
             break
         g = _ext_euclid(hs[0], h)[0]
@@ -265,16 +301,24 @@ def _shrink_modulus(hs, m: int) -> int:
 
 
 def _synthesize_factored(fs, f: IntPoly, m0: int) -> GcdPorcFunction:
-    try:
-        hs = [p.exact_div(f) for p in fs if p]
-    except ValueError as exc:
-        raise ConsistencyError("the polynomial gcd does not divide every member") from exc
-    gamma = 0
-    for h in hs:
-        gamma = gcd(gamma, content_and_primitive(h)[0])
-    hs = [IntPoly(tuple(c // gamma for c in h.coeffs)) for h in hs]
+    # one member per sign class, in order of first occurrence: the first
+    # nonzero member stays the anchor of _shrink_modulus
+    members: dict[tuple[int, ...], IntPoly] = {}
+    for p in fs:
+        if p:
+            members.setdefault(p.coeffs if p.leading > 0 else tuple(-c for c in p.coeffs), p)
+    if f.degree == 0:
+        hs = list(members.values())  # f is 1
+    else:
+        try:
+            hs = [p.exact_div(f) for p in members.values()]
+        except ValueError as exc:
+            raise ConsistencyError("the polynomial gcd does not divide every member") from exc
+    gamma = gcd(*(c for h in hs for c in h.coeffs))
+    if gamma > 1:
+        hs = [IntPoly(tuple(c // gamma for c in h.coeffs)) for h in hs]
     if m0 % gamma:
-        raise ConsistencyError("family content does not divide the Bezout modulus")
+        raise ConsistencyError("family content does not divide the modulus")
     local_lists = []
     stored_m = gamma
     for p, e in factorize(_shrink_modulus(hs, m0 // gamma)).items():

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import ConsistencyError, ScaleCapError
 from .polynomial import IntPoly
-from .porc import GcdPorcFunction, porc_eval, synthesize_gcd_function
+from .porc import GcdPorcFunction, _gcd_fold, porc_eval, synthesize_gcd_function
 from .relmat import build_relation_matrix, evaluate_matrix, maximal_minors
 from .snf import divisor_product, smith_normal_form
 
@@ -115,7 +116,7 @@ def _subset_masks(system: MonomialSystem, max_inequations: int):
         rows = list(eq_rows)
         rows += [neqs[i].exponents for i in range(len(neqs)) if mask >> i & 1]
         sign = -1 if bin(mask).count("1") % 2 else 1
-        yield sign, rows
+        yield mask, sign, rows
 
 
 def count_at(
@@ -125,7 +126,7 @@ def count_at(
     if q0 < 2:
         raise ValueError("q must be at least 2")
     total = 0
-    for sign, rows in _subset_masks(system, max_inequations):
+    for _, sign, rows in _subset_masks(system, max_inequations):
         matrix = build_relation_matrix(rows, system.k, system.n)
         divisors = smith_normal_form(evaluate_matrix(matrix, q0))
         if 0 in divisors:
@@ -143,13 +144,29 @@ def synthesize_counting_function(
 
     One signed term per inequation subset, in ascending bitmask order; each
     term is synthesized from the maximal minors of that subset's relation
-    matrix.
+    matrix.  The gcd fold walks the subset lattice: a subset's parent is its
+    mask without the top bit, whose matrix lacks just the top inequation's
+    row, so every minor of the parent is a minor of the child.  Each subset
+    resumes its parent's fold state (f, m) and folds in only the minors that
+    use its new row.
     """
+    e = len(system.equations)
+    folds: list[tuple[IntPoly, int]] = []  # fold state per mask
     terms = []
-    for sign, rows in _subset_masks(system, max_inequations):
+    for mask, sign, rows in _subset_masks(system, max_inequations):
         matrix = build_relation_matrix(rows, system.k, system.n)
         minors = maximal_minors(matrix)
-        terms.append((sign, synthesize_gcd_function(minors)))
+        if mask:
+            # the top inequation's row follows the equations and the other rows
+            new = e + bin(mask).count("1") - 1
+            subsets = combinations(range(len(matrix.rows)), system.k)
+            fresh = [p for p, rs in zip(minors, subsets) if new in rs]
+            parent = mask ^ (1 << (mask.bit_length() - 1))
+            fold = _gcd_fold(fresh, *folds[parent])
+        else:
+            fold = _gcd_fold(minors)
+        folds.append(fold)
+        terms.append((sign, synthesize_gcd_function(minors, fold=fold)))
     return CountingFunction(terms=tuple(terms))
 
 

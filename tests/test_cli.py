@@ -209,8 +209,8 @@ class TestExitCodes:
     def test_gcd_not_dividing_is_3(self, capsys, monkeypatch):
         import porcfield.porc as porc_mod
 
-        wrong = (parse_poly("x+2"), [], 2)
-        monkeypatch.setattr(porc_mod, "bezout_cofactors", lambda fs: wrong)
+        wrong = (parse_poly("x+2"), 2)
+        monkeypatch.setattr(porc_mod, "_gcd_fold", lambda fs: wrong)
         assert main(["gcd-porc", "--text", "x^2+x\nx^2-x"]) == 3
         err = capsys.readouterr().err
         assert "internal consistency error: the polynomial gcd does not divide" in err

@@ -40,6 +40,16 @@ def systems_with_permutation(draw):
     return k, n, draw(rows), draw(rows), draw(st.permutations(range(k)))
 
 
+@st.composite
+def systems_with_an_equation(draw):
+    # k unknowns, at least one equation, inequations, and the index of one equation
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    rows = st.tuples(*[exponents] * k)
+    eqs = draw(st.lists(rows, min_size=1, max_size=2))
+    return k, n, eqs, draw(st.lists(rows, max_size=3)), draw(st.integers(0, len(eqs) - 1))
+
+
 def _output(system):
     cf = synthesize_counting_function(system)
     return cf.render(), json.dumps(counting_function_to_dict(cf))
@@ -85,6 +95,27 @@ def test_counting_function_ignores_the_order_of_the_unknowns(drawn):
 
     forward = _output(make_system(k, n, eqs=eqs, neqs=neqs))
     assert _output(make_system(k, n, eqs=permuted(eqs), neqs=permuted(neqs))) == forward
+
+
+# a repeated or negated equation row leaves the solution set, and so the
+# counting function, as it was; both change the members of every family
+
+
+@SETTINGS
+@given(systems_with_an_equation())
+def test_counting_function_ignores_a_duplicated_equation(drawn):
+    k, n, eqs, neqs, i = drawn
+    forward = _output(make_system(k, n, eqs=eqs, neqs=neqs))
+    assert _output(make_system(k, n, eqs=eqs + [eqs[i]], neqs=neqs)) == forward
+
+
+@SETTINGS
+@given(systems_with_an_equation())
+def test_counting_function_ignores_a_negated_equation(drawn):
+    k, n, eqs, neqs, i = drawn
+    negated = eqs[:i] + [tuple(-p for p in eqs[i])] + eqs[i + 1:]
+    forward = _output(make_system(k, n, eqs=eqs, neqs=neqs))
+    assert _output(make_system(k, n, eqs=negated, neqs=neqs)) == forward
 
 
 # each added or changed member generates the same ideal of values, so the

@@ -206,8 +206,8 @@ def test_factored_size_caps_raise_scale_cap_error(monkeypatch, cap, value):
 
 
 def test_gcd_that_does_not_divide_is_a_consistency_error(monkeypatch):
-    # a Bezout gcd that fails to divide a member is an internal invariant failure
-    monkeypatch.setattr(porc, "bezout_cofactors", lambda fs: (P("x+2"), [], 2))
+    # a folded gcd that fails to divide a member is an internal invariant failure
+    monkeypatch.setattr(porc, "_gcd_fold", lambda fs: (P("x+2"), 2))
     with pytest.raises(ConsistencyError, match="does not divide"):
         synthesize_gcd_function([P("x^2+x"), P("x^2-x")])
 
@@ -231,6 +231,46 @@ def test_bezout_modulus_beyond_the_step_cap_is_shrunk_first():
     g = synthesize_gcd_function(fs)
     assert (g.f, g.d, g.m) == (P("1"), expr(0, (1, 0, 2)), 2)
     _check_soundness(fs, g)
+
+
+# two primes beyond the reach of rho within FACTOR_STEP_CAP
+UNFACTORABLE = 10000000000037 * 20000000000021
+
+
+@pytest.mark.parametrize(
+    "fs", [[IntPoly([2]), IntPoly([2])], [P("x"), P("x"), P("x+6")], [P("x"), P("-x"), P("x+6")]]
+)
+def test_duplicated_members_still_shrink_an_unfactorable_modulus(fs):
+    # duplicates up to sign are folded away before the shrink; a constant
+    # anchor (2 over its own gcd 2 leaves 1) must still cut the modulus
+    f, _, m = bezout_cofactors(fs)
+    assert porc._synthesize_factored(fs, f, m * UNFACTORABLE) == synthesize_gcd_function(fs)
+
+
+def test_gcd_fold_gives_the_gcd_and_a_multiple_of_every_value_ratio():
+    # gcd(f_1(x), ..., f_s(x)) / |f(x)| divides every integer m with m*f in the ideal
+    rng = random.Random(4431)
+    for _ in range(200):
+        fs = [
+            IntPoly([rng.randint(-15, 15) for _ in range(rng.randint(1, 5))])
+            for _ in range(rng.randint(1, 4))
+        ]
+        if all(not p for p in fs):
+            continue
+        f, m = porc._gcd_fold(fs)
+        assert f == bezout_cofactors(fs)[0] and m >= 1
+        for x in range(-30, 31):
+            if f(x):
+                values = 0
+                for p in fs:
+                    values = gcd(values, p(x))
+                assert m % (values // abs(f(x))) == 0, ([str(p) for p in fs], x)
+    # resuming a fold state equals folding the whole family at once
+    head, tail = [P("x^3-x"), P("2*x^2+2*x")], [P("x^2-1"), P("4*x+4")]
+    resumed = porc._gcd_fold(tail, *porc._gcd_fold(head))
+    assert resumed == porc._gcd_fold(head + tail) and resumed[0] == P("x+1")
+    with pytest.raises(ValueError):
+        porc._gcd_fold([IntPoly(), IntPoly()])
 
 
 def test_synthesis_soundness_random_sweep():

@@ -1,9 +1,13 @@
 """Monomial systems: parsing, counting, synthesis, inclusion-exclusion."""
 
 import random
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import porcfield.porc as porc
+import porcfield.system as system_mod
 from porcfield import (
     CountingFunction,
     DslSyntaxError,
@@ -11,9 +15,12 @@ from porcfield import (
     IntPoly,
     MonomialSystem,
     ScaleCapError,
+    bezout_cofactors,
+    build_relation_matrix,
     count_at,
     counting_eval,
     make_system,
+    maximal_minors,
     parse_poly,
     parse_system,
     synthesize_counting_function,
@@ -238,3 +245,55 @@ def test_term_order_follows_subset_bitmask():
     assert [sign for sign, _ in cf.terms] == [1, -1, -1, 1]
     for q0 in range(2, 12):
         assert counting_eval(cf, q0) == count_at(system, q0)
+
+
+# linear exponents a*q + b, as in the random systems of the benchmark
+exponents = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(IntPoly)
+
+
+@st.composite
+def systems(draw):
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    rows = st.tuples(*[exponents] * k)
+    eqs = draw(st.lists(rows, max_size=2))
+    neqs = draw(st.lists(rows, max_size=4))
+    return k, n, eqs, neqs
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(systems())
+def test_lattice_terms_match_an_independent_modulus(drawn):
+    # each subset's term, synthesized from the fold state it inherits along the
+    # lattice, equals the synthesis from the Bezout gcd and modulus of its own minors
+    k, n, eqs, neqs = drawn
+    cf = synthesize_counting_function(make_system(k, n, eqs=eqs, neqs=neqs))
+    for mask, (_, term) in enumerate(cf.terms):
+        rows = eqs + [row for i, row in enumerate(neqs) if mask >> i & 1]
+        minors = maximal_minors(build_relation_matrix(rows, k, n))
+        f, _, m = bezout_cofactors(minors)
+        assert term == porc._synthesize_factored(minors, f, m), mask
+
+
+def test_each_subset_folds_only_the_minors_of_its_new_row(monkeypatch):
+    # the root folds all of its minors; every other subset folds only the
+    # minors that use its top inequation's row, C(rows - 1, k - 1) of them
+    received = []
+    original = porc._gcd_fold
+
+    def counted(fs, *state):
+        fs = list(fs)
+        received.append(len(fs))
+        return original(fs, *state)
+
+    for module in (porc, system_mod):
+        monkeypatch.setattr(module, "_gcd_fold", counted)
+    k, e, s = 3, 1, 3
+    row = (IntPoly([1, 2]), IntPoly([-3, 1]), IntPoly([2]))
+    system = make_system(k, 2, eqs=[row], neqs=[row[::-1], row[1:] + row[:1], row[2:] + row[:2]])
+    synthesize_counting_function(system)
+    expected = comb(e + k, k) + sum(
+        comb(e + bin(mask).count("1") + k - 1, k - 1) for mask in range(1, 1 << s)
+    )
+    assert sum(received) == expected
+    assert len(received) == 1 << s
