@@ -37,9 +37,6 @@ from .relmat import (
     build_relation_matrix,
     evaluate_matrix,
     maximal_minors,
-    membership_poly,
-    minor_gcd_at,
-    poly_det,
 )
 from .snf import divisor_product, smith_normal_form
 from .system import (
@@ -83,11 +80,8 @@ __all__ = [
     "make_field",
     "make_system",
     "maximal_minors",
-    "membership_poly",
-    "minor_gcd_at",
     "parse_poly",
     "parse_system",
-    "poly_det",
     "porc_canonicalize",
     "porc_eval",
     "porc_to_residue_table",

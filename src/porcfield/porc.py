@@ -37,9 +37,6 @@ from .polynomial import IntPoly, _ext_euclid, content_and_primitive
 # Not called here; the benchmark's tracer wraps porcfield.porc.bezout_cofactors.
 from .polynomial import bezout_cofactors  # noqa: F401
 
-#: Not read by the package; only the benchmark's route counter reads it, and with
-#: 1 it counts every family with a Bezout modulus above 1 as factored.
-LITERAL_MODULUS_CAP = 1
 #: Caps on intermediate sizes in the factored construction.
 CLASS_BUDGET = 20_000
 TERM_BUDGET = 200_000

@@ -1,10 +1,12 @@
 """Relation matrices over integer polynomials in q.
 
-A monomial system instance becomes a matrix whose rows are the exponent
-vectors of its equations followed by one membership row (q^n - 1)*e_i per
-unknown.  Counting solutions at a concrete q reduces to the elementary
-divisors of the evaluated matrix, or equivalently to the gcd of the
-evaluated maximal minors.
+A monomial system becomes one matrix whose rows are the exponent vectors of
+its relations followed by one membership row (q^n - 1)*e_i per unknown.
+The matrix of an equation system is a selection of those rows, and its
+maximal minors are the full matrix's minors on the selected rows.  Counting
+solutions at a concrete q reduces to the elementary divisors of the
+evaluated matrix, or equivalently to the gcd of the evaluated maximal
+minors.
 
 All minors come from one exact routine: a column-by-column Laplace
 expansion that builds the j x j minors on the first j columns from the
@@ -16,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, gcd
+from math import comb
 
 from .errors import ScaleCapError
 from .polynomial import IntPoly
@@ -34,7 +36,7 @@ class RelationMatrix:
     rows: tuple[tuple[IntPoly, ...], ...]
 
 
-def membership_poly(n: int) -> IntPoly:
+def _membership_poly(n: int) -> IntPoly:
     """The exponent q^n - 1 every unknown must satisfy."""
     return IntPoly.monomial(1, n) - 1
 
@@ -52,19 +54,11 @@ def build_relation_matrix(equation_rows, k: int, n: int) -> RelationMatrix:
         if len(row) != k:
             raise ValueError(f"equation row has length {len(row)}, expected {k}")
         rows.append(row)
-    mem = membership_poly(n)
+    mem = _membership_poly(n)
     zero = IntPoly()
     for i in range(k):
         rows.append(tuple(mem if j == i else zero for j in range(k)))
     return RelationMatrix(k=k, n=n, rows=tuple(rows))
-
-
-def poly_det(rows: list[list[IntPoly]]) -> IntPoly:
-    """Determinant of a square matrix of integer polynomials, exactly."""
-    size = len(rows)
-    if any(len(r) != size for r in rows):
-        raise ValueError("determinant of a non-square matrix")
-    return _leading_minors(rows, size).get(tuple(range(size)), IntPoly())
 
 
 def _leading_minors(rows, k: int) -> dict[tuple[int, ...], IntPoly]:
@@ -117,11 +111,3 @@ def evaluate_matrix(m: RelationMatrix, q0: int) -> list[list[int]]:
     if q0 <= 1:
         raise ValueError("degenerate modulus: q^n - 1 <= 0 for q <= 1")
     return [[p(q0) for p in row] for row in m.rows]
-
-
-def minor_gcd_at(minors, q0: int) -> int:
-    """Gcd of the absolute evaluated minors, ignoring zeros (gcd(0, a) = |a|)."""
-    g = 0
-    for p in minors:
-        g = gcd(g, p(q0))
-    return g

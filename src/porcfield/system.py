@@ -5,7 +5,10 @@ extension field and a list of monomial constraints whose exponents are
 integer polynomials in q.  Counting proceeds by inclusion-exclusion over
 the inequations: each subset contributes the solution count of a pure
 equation system, obtained from the elementary divisors of its relation
-matrix, and symbolically from the gcd of the matrix's maximal minors.
+matrix, and symbolically from the gcd of the matrix's maximal minors.  Every
+subset's matrix is a selection of rows of one full matrix (the equations,
+every inequation and the membership rows): count_at evaluates that matrix
+once per q, and the synthesis expands it into maximal minors once.
 """
 
 from __future__ import annotations
@@ -104,19 +107,34 @@ class CountingFunction:
         return self.render()
 
 
-def _subset_masks(system: MonomialSystem, max_inequations: int):
+def _inclusion_exclusion(system: MonomialSystem, max_inequations: int):
+    """The system's full relation matrix and its inclusion-exclusion subsets.
+
+    The matrix's rows are the equations, every inequation and the k
+    membership rows, in that order.  The subsets follow in ascending bitmask
+    order over the inequations, each as (sign, rows): rows are the sorted
+    indices of the equations, the subset's inequations and the membership
+    rows, so selecting them gives the subset's own relation matrix.
+    """
     neqs = system.inequations
     if len(neqs) > max_inequations:
         raise ScaleCapError(
             f"inclusion-exclusion blow-up: {len(neqs)} inequations exceed the cap "
             f"{max_inequations}"
         )
-    eq_rows = [r.exponents for r in system.equations]
-    for mask in range(1 << len(neqs)):
-        rows = list(eq_rows)
-        rows += [neqs[i].exponents for i in range(len(neqs)) if mask >> i & 1]
-        sign = -1 if bin(mask).count("1") % 2 else 1
-        yield mask, sign, rows
+    eqs = system.equations
+    e, s = len(eqs), len(neqs)
+    matrix = build_relation_matrix([r.exponents for r in eqs + neqs], system.k, system.n)
+    equations = tuple(range(e))
+    membership = tuple(range(e + s, e + s + system.k))
+
+    def subsets():
+        for mask in range(1 << s):
+            sign = -1 if bin(mask).count("1") % 2 else 1
+            chosen = tuple(e + i for i in range(s) if mask >> i & 1)
+            yield sign, equations + chosen + membership
+
+    return matrix, subsets()
 
 
 def count_at(
@@ -125,10 +143,11 @@ def count_at(
     """Number of solutions at the concrete q0, via elementary divisors."""
     if q0 < 2:
         raise ValueError("q must be at least 2")
+    matrix, subsets = _inclusion_exclusion(system, max_inequations)
+    evaluated = evaluate_matrix(matrix, q0)
     total = 0
-    for _, sign, rows in _subset_masks(system, max_inequations):
-        matrix = build_relation_matrix(rows, system.k, system.n)
-        divisors = smith_normal_form(evaluate_matrix(matrix, q0))
+    for sign, rows in subsets:
+        divisors = smith_normal_form([evaluated[i] for i in rows])
         if 0 in divisors:
             raise ConsistencyError("rank-deficient relation matrix at q >= 2")
         total += sign * divisor_product(divisors)
@@ -144,23 +163,23 @@ def synthesize_counting_function(
 
     One signed term per inequation subset, in ascending bitmask order; each
     term is synthesized from the maximal minors of that subset's relation
-    matrix.  The gcd fold walks the subset lattice: a subset's parent is its
-    mask without the top bit, whose matrix lacks just the top inequation's
-    row, so every minor of the parent is a minor of the child.  Each subset
-    resumes its parent's fold state (f, m) and folds in only the minors that
-    use its new row.
+    matrix.  Those are the minors of the full matrix on the subset's rows,
+    all computed in one expansion.  The gcd fold walks the subset lattice: a
+    subset's parent is its mask without the top bit, which lacks just the top
+    inequation's row, so every minor of the parent is a minor of the child.
+    Each subset resumes its parent's fold state (f, m) and folds in only the
+    minors that use its new row.
     """
-    e = len(system.equations)
+    e, k = len(system.equations), system.k
+    matrix, subsets = _inclusion_exclusion(system, max_inequations)
+    table = dict(zip(combinations(range(len(matrix.rows)), k), maximal_minors(matrix)))
     folds: list[tuple[IntPoly, int]] = []  # fold state per mask
     terms = []
-    for mask, sign, rows in _subset_masks(system, max_inequations):
-        matrix = build_relation_matrix(rows, system.k, system.n)
-        minors = maximal_minors(matrix)
+    for mask, (sign, rows) in enumerate(subsets):
+        minors = [table[rs] for rs in combinations(rows, k)]
         if mask:
-            # the top inequation's row follows the equations and the other rows
-            new = e + bin(mask).count("1") - 1
-            subsets = combinations(range(len(matrix.rows)), system.k)
-            fresh = [p for p, rs in zip(minors, subsets) if new in rs]
+            top = e + mask.bit_length() - 1
+            fresh = [table[rs] for rs in combinations(rows, k) if top in rs]
             parent = mask ^ (1 << (mask.bit_length() - 1))
             fold = _gcd_fold(fresh, *folds[parent])
         else:

@@ -18,7 +18,6 @@ from porcfield import (
     exponent_space_count,
     make_system,
     maximal_minors,
-    minor_gcd_at,
     parse_poly,
     parse_system,
     porc_eval,
@@ -88,7 +87,7 @@ def test_criterion_2_divisor_product_equals_minor_gcd_equals_oracle():
         minors = maximal_minors(matrix)
         for q0 in range(2, 10):
             by_snf = divisor_product(smith_normal_form(evaluate_matrix(matrix, q0)))
-            by_minors = minor_gcd_at(minors, q0)
+            by_minors = gcd(*(p(q0) for p in minors))
             by_oracle = exponent_space_count(system, q0)
             assert by_snf == by_minors == by_oracle, (k, n, q0)
             checks += 1

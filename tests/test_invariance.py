@@ -50,6 +50,29 @@ def systems_with_an_equation(draw):
     return k, n, eqs, draw(st.lists(rows, max_size=3)), draw(st.integers(0, len(eqs) - 1))
 
 
+@st.composite
+def systems_with_an_inequation(draw):
+    # k unknowns, equations, at least one inequation, and the index of one inequation
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    rows = st.tuples(*[exponents] * k)
+    neqs = draw(st.lists(rows, min_size=1, max_size=3))
+    return k, n, draw(st.lists(rows, max_size=2)), neqs, draw(st.integers(0, len(neqs) - 1))
+
+
+@st.composite
+def systems_with_an_exponent(draw):
+    # k unknowns, equations and inequations with at least one relation, the
+    # index of one relation among eqs + neqs and of one unknown, and a g(q)
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    rows = st.tuples(*[exponents] * k)
+    eqs = draw(st.lists(rows, max_size=2))
+    neqs = draw(st.lists(rows, min_size=0 if eqs else 1, max_size=3))
+    relation = draw(st.integers(0, len(eqs) + len(neqs) - 1))
+    return k, n, eqs, neqs, relation, draw(st.integers(0, k - 1)), draw(exponents)
+
+
 def _output(system):
     cf = synthesize_counting_function(system)
     return cf.render(), json.dumps(counting_function_to_dict(cf))
@@ -116,6 +139,32 @@ def test_counting_function_ignores_a_negated_equation(drawn):
     negated = eqs[:i] + [tuple(-p for p in eqs[i])] + eqs[i + 1:]
     forward = _output(make_system(k, n, eqs=eqs, neqs=neqs))
     assert _output(make_system(k, n, eqs=negated, neqs=neqs)) == forward
+
+
+# an inequation x^a != 1 holds exactly when x^-a != 1, and every unknown has
+# x^(q^n - 1) = 1, so an exponent is only defined modulo q^n - 1; neither
+# change moves the solution set of any subset
+
+
+@SETTINGS
+@given(systems_with_an_inequation())
+def test_counting_function_ignores_a_negated_inequation(drawn):
+    k, n, eqs, neqs, i = drawn
+    negated = neqs[:i] + [tuple(-p for p in neqs[i])] + neqs[i + 1:]
+    forward = _output(make_system(k, n, eqs=eqs, neqs=neqs))
+    assert _output(make_system(k, n, eqs=eqs, neqs=negated)) == forward
+
+
+@SETTINGS
+@given(systems_with_an_exponent())
+def test_counting_function_ignores_a_multiple_of_the_group_order(drawn):
+    k, n, eqs, neqs, r, j, g = drawn
+    rows = eqs + neqs
+    shifted = list(rows[r])
+    shifted[j] += (IntPoly.monomial(1, n) - 1) * g
+    rows = rows[:r] + [tuple(shifted)] + rows[r + 1:]
+    forward = _output(make_system(k, n, eqs=eqs, neqs=neqs))
+    assert _output(make_system(k, n, eqs=rows[: len(eqs)], neqs=rows[len(eqs):])) == forward
 
 
 # each added or changed member generates the same ideal of values, so the

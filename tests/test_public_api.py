@@ -38,11 +38,8 @@ PUBLIC_NAMES = [
     "make_field",
     "make_system",
     "maximal_minors",
-    "membership_poly",
-    "minor_gcd_at",
     "parse_poly",
     "parse_system",
-    "poly_det",
     "porc_canonicalize",
     "porc_eval",
     "porc_to_residue_table",
@@ -54,7 +51,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 38
+    assert len(PUBLIC_NAMES) == 35
     assert sorted(porcfield.__all__) == PUBLIC_NAMES
 
 

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -16,10 +16,7 @@ from porcfield import (
     exponent_space_count,
     make_system,
     maximal_minors,
-    membership_poly,
-    minor_gcd_at,
     parse_poly,
-    poly_det,
     smith_normal_form,
 )
 import porcfield.relmat as relmat
@@ -79,7 +76,7 @@ class TestMinors:
         for k, n in ((1, 1), (2, 2), (3, 1)):
             m = build_relation_matrix([], k, n)
             minors = maximal_minors(m)
-            assert minors == [membership_poly(n) ** k]
+            assert minors == [relmat._membership_poly(n) ** k]
 
     def test_subset_limit_raises(self, monkeypatch):
         m = build_relation_matrix([(Q2M1, ZERO), (QP1, IntPoly([-2]))], 2, 2)
@@ -120,6 +117,10 @@ def _random_entry(rng, max_deg=2, bound=4):
     return ZERO if rng.random() < 0.3 else _random_poly(rng, max_deg, bound)
 
 
+def _det(rows):
+    return relmat._leading_minors(rows, len(rows)).get(tuple(range(len(rows))), ZERO)
+
+
 def test_determinant_matches_cofactor_expansion():
     rng = random.Random(55)
     for size in (1, 2, 3, 4):
@@ -127,7 +128,7 @@ def test_determinant_matches_cofactor_expansion():
             rows = [[_random_entry(rng) for _ in range(size)] for _ in range(size)]
             if trial == 0 and size > 1:
                 rows[-1] = rows[0]
-            assert poly_det(rows) == _poly_cofactor(rows)
+            assert _det(rows) == _poly_cofactor(rows)
 
 
 def test_bareiss_on_larger_matrices_via_evaluation():
@@ -139,7 +140,7 @@ def test_bareiss_on_larger_matrices_via_evaluation():
             rows = [[_random_entry(rng) for _ in range(size)] for _ in range(size)]
             if trial == 0:
                 rows[-1] = rows[0]
-            det = poly_det(rows)
+            det = _det(rows)
             for x in (0, 1, 2, -3, 5):
                 assert det(x) == _eval_det([[p(x) for p in row] for row in rows])
 
@@ -154,11 +155,6 @@ def _poly_cofactor(rows):
             term = row[0] * _poly_cofactor(minor)
             total = total - term if i % 2 else total + term
     return total
-
-
-def test_determinant_rejects_non_square():
-    with pytest.raises(ValueError, match="non-square"):
-        poly_det([[QP1, QM1]])
 
 
 def test_maximal_minors_match_integer_determinants():
@@ -238,7 +234,7 @@ def test_minor_gcd_equals_divisor_product_equals_oracle():
         matrix = build_relation_matrix(rows, system.k, system.n)
         minors = maximal_minors(matrix)
         for q0 in range(2, 8):
-            by_minors = minor_gcd_at(minors, q0)
+            by_minors = gcd(*(p(q0) for p in minors))
             by_snf = divisor_product(smith_normal_form(evaluate_matrix(matrix, q0)))
             assert by_minors == by_snf
             if (q0**system.n - 1) ** system.k <= 100_000:

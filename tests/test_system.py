@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import porcfield.porc as porc
+import porcfield.relmat as relmat
 import porcfield.system as system_mod
 from porcfield import (
     CountingFunction,
@@ -297,3 +298,60 @@ def test_each_subset_folds_only_the_minors_of_its_new_row(monkeypatch):
     )
     assert sum(received) == expected
     assert len(received) == 1 << s
+
+
+def _calls(monkeypatch, module, name):
+    # replace module.name by a wrapper that records each call's arguments
+    calls = []
+    original = getattr(module, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+# e = 1 equation and s = 3 inequations on k = 2 unknowns: 8 subsets, and a
+# full relation matrix of e + s + k = 6 rows
+ROW = (IntPoly([1, 2]), IntPoly([-3, 1]))
+THREE_NEQS = make_system(2, 2, eqs=[ROW], neqs=[ROW[::-1], (ROW[0], ROW[0]), (IntPoly([2]), ROW[1])])
+
+
+def test_synthesis_expands_the_minors_once_per_system(monkeypatch):
+    expansions = _calls(monkeypatch, relmat, "_leading_minors")
+    cf = synthesize_counting_function(THREE_NEQS)
+    assert len(cf.terms) == 8
+    assert len(expansions) == 1
+    rows, k = expansions[0]
+    assert (len(rows), k) == (6, 2)
+
+
+def test_count_at_builds_and_evaluates_one_matrix_per_call(monkeypatch):
+    built = _calls(monkeypatch, system_mod, "build_relation_matrix")
+    evaluated = _calls(monkeypatch, system_mod, "evaluate_matrix")
+    snfs = _calls(monkeypatch, system_mod, "smith_normal_form")
+    for calls, q0 in enumerate((2, 3, 5, 7), 1):
+        count_at(THREE_NEQS, q0)
+        assert (len(built), len(evaluated), len(snfs)) == (calls, calls, 8 * calls)
+
+
+def test_inequation_cap_comes_before_the_subset_limit(monkeypatch):
+    monkeypatch.setattr(relmat, "SUBSET_LIMIT", 1)
+    for run in (
+        lambda: synthesize_counting_function(THREE_NEQS, max_inequations=2),
+        lambda: count_at(THREE_NEQS, 3, max_inequations=2),
+    ):
+        with pytest.raises(ScaleCapError, match="blow-up: 3 inequations exceed the cap 2"):
+            run()
+
+
+def test_subset_limit_is_hit_before_any_fold(monkeypatch):
+    # the root subset's C(3, 2) = 3 minors fit the limit, but the full matrix's
+    # C(6, 2) = 15 do not: the synthesis stops before folding any subset
+    monkeypatch.setattr(relmat, "SUBSET_LIMIT", 3)
+    folds = _calls(monkeypatch, system_mod, "_gcd_fold")
+    with pytest.raises(ScaleCapError, match=r"C\(6, 2\) = 15 row subsets exceed SUBSET_LIMIT = 3"):
+        synthesize_counting_function(THREE_NEQS)
+    assert folds == []
