@@ -8,9 +8,9 @@ exceeded, 3 verification mismatch or internal consistency error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
+from ._gfpoly import factorize
 from .errors import ConsistencyError, ScaleCapError
 from .ffield import brute_force_count, exponent_space_count
 from .jsonio import (
@@ -117,11 +117,17 @@ def _read_source(args) -> str:
         raise SystemExit(EXIT_PARSE) from exc
 
 
+def _print_json(obj) -> None:
+    import json  # imported here so that text output never loads it
+
+    print(json.dumps(obj))
+
+
 def _cmd_synthesize(args) -> int:
     system = parse_system(_read_source(args))
     cf = synthesize_counting_function(system, max_inequations=args.max_neq)
     if args.format == "json":
-        print(json.dumps(counting_function_to_dict(cf)))
+        _print_json(counting_function_to_dict(cf))
     else:
         print(cf.render())
     return EXIT_OK
@@ -131,7 +137,7 @@ def _cmd_count(args) -> int:
     system = parse_system(_read_source(args))
     value = count_at(system, args.q, max_inequations=args.max_neq)
     if args.format == "json":
-        print(json.dumps({"q": args.q, "count": value}))
+        _print_json({"q": args.q, "count": value})
     else:
         print(value)
     return EXIT_OK
@@ -153,7 +159,7 @@ def _cmd_gcd_porc(args) -> int:
         raise ValueError("no polynomials given")
     g = synthesize_gcd_function(polys)
     if args.format == "json":
-        print(json.dumps(gcd_function_to_dict(g)))
+        _print_json(gcd_function_to_dict(g))
     else:
         print(g.render("x"))
     return EXIT_OK
@@ -164,7 +170,7 @@ def _cmd_table(args) -> int:
     cf = synthesize_counting_function(system, max_inequations=args.max_neq)
     modulus, polys = porc_to_residue_table(cf)
     if args.format == "json":
-        print(json.dumps(table_to_dict(modulus, polys)))
+        _print_json(table_to_dict(modulus, polys))
     else:
         print(f"modulus {modulus}")
         for r, poly in enumerate(polys):
@@ -201,8 +207,13 @@ def _cmd_verify(args) -> int:
             readings["field-oracle"] = brute_force_count(
                 system, q0, max_tuples=args.max_enum
             )
-        except (ScaleCapError, ValueError):  # over its cap, or q0 is not a prime power
+        except ScaleCapError:
             pass
+        except ValueError as exc:
+            # skip a q0 that is not a prime power; the oracle factors q0 only
+            # below its cap, so a large prime q0 never reaches this factoring
+            if len(factorize(q0)) == 1:
+                raise ConsistencyError(f"field oracle failed at q={q0}: {exc}") from exc
         bad = {name: v for name, v in readings.items() if v != expected}
         if bad:
             mismatches += 1

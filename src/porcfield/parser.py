@@ -19,7 +19,7 @@ in place of "q", parse standalone polynomials (``parse_intpoly``).
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .polynomial import IntPoly
 from .system import MonomialRelation, MonomialSystem
@@ -35,11 +35,8 @@ class DslSyntaxError(ValueError):
         self.col = col
 
 
-class _Token(NamedTuple):
-    kind: str  # "ident", "int", a punctuation character, or "eof"
-    text: str
-    line: int
-    col: int
+# kind is "ident", "int", a punctuation character, or "eof"
+_Token = namedtuple("_Token", "kind text line col")
 
 
 _PUNCT = set(";,^*+-=()")

@@ -26,11 +26,11 @@ ScaleCapError; a modulus of 2^64 or more is first cut down by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from ._gfpoly import factorize, gf_from_coeffs, gf_gcd, gf_roots
+from ._record import Record
 from .errors import ConsistencyError, ScaleCapError
 from .polynomial import IntPoly, _ext_euclid, content_and_primitive
 
@@ -45,12 +45,13 @@ CHILD_ENUM_CAP = 3_000
 TABLE_ROW_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class PorcExpression:
+class PorcExpression(Record):
     """alpha + sum of coeff * gcd(x - shift, modulus) terms."""
 
+    __slots__ = ("alpha", "terms")
+    _defaults = {"terms": ()}
     alpha: Fraction
-    terms: tuple[tuple[Fraction, int, int], ...] = ()
+    terms: tuple[tuple[Fraction, int, int], ...]
 
     def __call__(self, x: int) -> Fraction:
         return porc_eval(self, x)
@@ -80,10 +81,10 @@ class PorcExpression:
 PORC_ONE = PorcExpression(Fraction(1))
 
 
-@dataclass(frozen=True)
-class GcdPorcFunction:
+class GcdPorcFunction(Record):
     """The pair (d, f) with residue modulus m: values are d(x) * |f(x)|."""
 
+    __slots__ = ("f", "d", "m")
     f: IntPoly
     d: PorcExpression
     m: int

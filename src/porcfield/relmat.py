@@ -16,10 +16,10 @@ expansion that builds the j x j minors on the first j columns from the
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
+from ._record import Record
 from .errors import ScaleCapError
 from .polynomial import IntPoly
 
@@ -27,10 +27,10 @@ from .polynomial import IntPoly
 SUBSET_LIMIT = 10**6
 
 
-@dataclass(frozen=True)
-class RelationMatrix:
+class RelationMatrix(Record):
     """Matrix of exponent polynomials: equation rows plus k membership rows."""
 
+    __slots__ = ("k", "n", "rows")
     k: int
     n: int
     rows: tuple[tuple[IntPoly, ...], ...]

@@ -13,10 +13,10 @@ once per q, and the synthesis expands it into maximal minors once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from ._record import Record
 from .errors import ConsistencyError, ScaleCapError
 from .polynomial import IntPoly
 from .porc import GcdPorcFunction, _gcd_fold, porc_eval, synthesize_gcd_function
@@ -30,26 +30,27 @@ EQ = "eq"
 NEQ = "neq"
 
 
-@dataclass(frozen=True)
-class MonomialRelation:
+class MonomialRelation(Record):
     """One constraint: the monomial with these exponents equals (or differs from) 1."""
 
+    __slots__ = ("exponents", "kind")
     exponents: tuple[IntPoly, ...]
     kind: str  # EQ or NEQ
 
 
-@dataclass(frozen=True)
-class MonomialSystem:
+class MonomialSystem(Record):
     """k unknowns over the degree-n extension, plus the user relations.
 
     Membership constraints are implicit; they are appended to every
     relation matrix and never stored here.
     """
 
+    __slots__ = ("k", "n", "relations", "variables")
+    _defaults = {"relations": (), "variables": ()}
     k: int
     n: int
-    relations: tuple[MonomialRelation, ...] = ()
-    variables: tuple[str, ...] = ()
+    relations: tuple[MonomialRelation, ...]
+    variables: tuple[str, ...]
 
     def __post_init__(self):
         if self.k < 1 or self.n < 1:
@@ -84,10 +85,10 @@ def make_system(k: int, n: int, eqs=(), neqs=(), variables=()) -> MonomialSystem
     return MonomialSystem(k=k, n=n, relations=tuple(relations), variables=tuple(variables))
 
 
-@dataclass(frozen=True)
-class CountingFunction:
+class CountingFunction(Record):
     """Signed sum of closed-form gcd functions; one term per inequation subset."""
 
+    __slots__ = ("terms",)
     terms: tuple[tuple[int, GcdPorcFunction], ...]
 
     def __call__(self, q0: int) -> int:

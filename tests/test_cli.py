@@ -172,6 +172,24 @@ class TestVerify:
         out = capsys.readouterr()
         assert "MISMATCH" in out.out
 
+    def test_field_oracle_value_error_exits_3(self, system_file, capsys, monkeypatch):
+        import porcfield.cli as cli_mod
+
+        def broken(system, q0, **kw):
+            raise ValueError("broken oracle")
+
+        monkeypatch.setattr(cli_mod, "brute_force_count", broken)
+        # q = 6 is not a prime power, so the field oracle has no field to build
+        assert main(["verify", system_file, "--q-range", "6:6"]) == 0
+        assert capsys.readouterr().out.endswith(" ok (2 checks)\n")
+        # at the prime power q = 3 the same error is a failure, not a skipped check
+        assert main(["verify", system_file, "--q-range", "3:3"]) == 3
+        captured = capsys.readouterr()
+        assert "ok (2 checks)" not in captured.out
+        assert "internal consistency error: field oracle failed at q=3: broken oracle" in (
+            captured.err
+        )
+
     def test_bad_range_exits_1(self, system_file, capsys):
         assert main(["verify", system_file, "--q-range", "9:2"]) == 1
         assert main(["verify", system_file, "--q-range", "abc"]) == 1
@@ -275,29 +293,43 @@ def _fresh_python(code, *args):
     return result.stdout.strip()
 
 
+# modules a cold process must not pay for: numpy and sympy are not dependencies,
+# dataclasses pulls in inspect, ast, dis and tokenize, and json is for --format json
+UNLOADED = "{'numpy', 'sympy', 'dataclasses', 'inspect'}"
+
+
 def test_cli_import_leaves_numpy_and_sympy_unloaded():
-    code = "import sys, porcfield.cli; print(sorted({'numpy', 'sympy'} & set(sys.modules)))"
+    unloaded = f"{UNLOADED} | {{'json'}}"
+    code = f"import sys, porcfield.cli; print(sorted(({unloaded}) & set(sys.modules)))"
     assert _fresh_python(code) == "[]"
 
 
 def test_subcommands_never_load_numpy_or_sympy(system_file):
-    # the Bezout modulus is factored and the exponent oracle counts in the package
-    code = (
-        "import contextlib, io, json, sys\n"
-        "from porcfield.cli import main\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert main(argv) == 0, argv\n"
-        "print(sorted({'numpy', 'sympy'} & set(sys.modules)))\n"
-    )
-    runs = [
+    # the Bezout modulus is factored and the exponent oracle counts in the package;
+    # the runs are spliced into the code, so the driver imports no json itself
+    text_runs = [
         ["synthesize", system_file],
         ["count", system_file, "--q", "3"],
         ["table", system_file],
         ["verify", system_file, "--q-range", "2:5"],
         ["gcd-porc", "--text", "x^5-3*x^2+7\n2*x^4+x-9"],
     ]
-    assert _fresh_python(code, json.dumps(runs)) == "[]"
+    json_runs = [
+        [*argv, "--format", "json"] for argv in text_runs if argv[0] != "verify"
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "from porcfield.cli import main\n"
+        "def run(runs, unloaded):\n"
+        "    for argv in runs:\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            assert main(argv) == 0, argv\n"
+        "    print(sorted(unloaded & set(sys.modules)))\n"
+        f"run({text_runs!r}, {UNLOADED} | {{'json'}})\n"
+        f"run({json_runs!r}, {UNLOADED})\n"
+        "print('json' in sys.modules)\n"
+    )
+    assert _fresh_python(code).splitlines() == ["[]", "[]", "True"]
 
 
 class TestOptions:

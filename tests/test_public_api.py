@@ -68,17 +68,27 @@ def test_one_polynomial_class():
     assert not hasattr(porcfield.polynomial, "RatPoly")
 
 
-def test_package_imports_only_the_standard_library():
+def _absolute_imports():
+    """(file name, module name) for every absolute import in the package's source."""
     for path in sorted((ROOT / "src" / "porcfield").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
+                for alias in node.names:
+                    yield path.name, alias.name
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            for name in names:
-                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+                yield path.name, node.module
+
+
+def test_package_imports_only_the_standard_library():
+    for filename, name in _absolute_imports():
+        assert name.split(".")[0] in sys.stdlib_module_names, (filename, name)
+
+
+def test_package_imports_neither_dataclasses_nor_typing():
+    # both cost a cold process milliseconds of imports; site may load typing
+    # anyway, so sys.modules cannot show a package import of it
+    for filename, name in _absolute_imports():
+        assert name.split(".")[0] not in {"dataclasses", "typing"}, (filename, name)
 
 
 def test_no_runtime_dependencies_are_declared():
