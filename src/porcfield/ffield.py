@@ -3,22 +3,26 @@
 Two structurally different ground truths for solution counts: literal
 enumeration of field-element tuples in an explicitly constructed GF(p^n),
 and a meet-in-the-middle count of the exponent tuples solving the
-corresponding linear congruences mod q^n - 1.  Neither uses the relation
-matrix, its minors, the gcd synthesis or the Smith normal form.  What they
-share with the symbolic pipeline: both read the parsed system and evaluate
-its exponents with ``IntPoly``, and the field oracle's arithmetic runs on
-``_gfpoly``: multiplication and powering in GF(p^n) are ``gf_mul``,
-``gf_divmod`` and ``gf_pow_mod`` modulo the field's modulus, the modulus
-comes from ``gf_is_irreducible``, and primality comes from ``factorize``.
-``porc``'s modular root finding uses the same routines; ``count_at`` and
-the exponent oracle use none of them.
+corresponding linear congruences mod q^n - 1.  The field oracle's power
+tables come from walking the orbit of g^beta, for a generator g, one
+literal field multiplication per element; one unknown per tuple is then
+resolved by a lookup in the table that prunes most, and the rest of the
+relations are checked on the elements that lookup returns.  Neither oracle
+uses the relation matrix, its minors, the gcd synthesis or the Smith
+normal form.  What they share with the symbolic pipeline: both read the
+parsed system and evaluate its exponents with ``IntPoly``, and the field
+oracle's arithmetic runs on ``_gfpoly``: multiplication and powering in
+GF(p^n) are ``gf_mul``, ``gf_divmod`` and ``gf_pow_mod`` modulo the
+field's modulus, the modulus comes from ``gf_is_irreducible``, and
+primality comes from ``factorize``.  ``porc``'s modular root finding uses
+the same routines; ``count_at`` and the exponent oracle use none of them.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from itertools import product
-from operator import ne
+from itertools import islice, product
+from operator import getitem, ne
 
 from ._gfpoly import factorize, gf_divmod, gf_is_irreducible, gf_mul, gf_pow_mod
 from .errors import ConsistencyError, ScaleCapError
@@ -121,45 +125,97 @@ def _discrete_logs(field: FieldContext) -> dict:
     )
 
 
+def _power_table(field: FieldContext, logs: dict, g, beta: int) -> list[int]:
+    """[log((g^i)^beta) for i in range(p^n - 1)], walking the orbit of h = g^beta.
+
+    h is one literal ``field.pow``; each further entry is one literal
+    ``field.mul`` by h, since (g^i)^beta = h^i.
+    """
+    h = field.pow(g, beta)
+    table = []
+    y = field.one
+    for _ in range(len(logs)):
+        table.append(logs[y])
+        y = field.mul(y, h)
+    return table
+
+
 def brute_force_count(
     system: MonomialSystem, q0: int, *, max_tuples: int = DEFAULT_MAX_TUPLES
 ) -> int:
     """Count solutions by enumerating tuples of nonzero field elements.
 
     q0 must be a prime power p^e; the field GF(q0^n) is built as
-    GF(p^(e*n)) and exponent polynomials are evaluated at q0.  The power
-    tables are literal field powers, stored as discrete logs, so a product
-    of table entries is 1 exactly when the sum of their logs is 0 mod
-    q0^n - 1 (the multiplicative group is cyclic).  The tuple cap is
-    checked before q0 is factored, and a system without relations builds
-    no field.
+    GF(p^(e*n)) and exponent polynomials are evaluated at q0.  Element i of
+    each unknown is g^i for the generator g that ``_discrete_logs`` finds.
+    The power tables hold the discrete logs of literal field powers: one
+    table per distinct exponent beta, built by walking the orbit of g^beta
+    with one field multiplication per element.  A product of table entries
+    is 1 exactly when the sum of their logs is 0 mod q0^n - 1 (the
+    multiplicative group is cyclic).
+
+    One unknown is resolved by lookup: of all (equation, unknown) pairs,
+    the one whose table leaves the fewest candidates (the smallest sum of
+    squared bucket sizes) is indexed from log value to positions.  The
+    other k - 1 unknowns are enumerated, the positions that satisfy that
+    equation are read from the index, and the remaining relations are
+    checked on those positions only.  Without an equation the trivial one,
+    1 = 1, admits every position of the last unknown, so every tuple is
+    enumerated.  The tuple cap is checked before q0 is factored, and a
+    system without relations builds no field.
     """
     group = q0**system.n - 1
     if group**system.k > max_tuples:
         raise ScaleCapError(
             f"{group}^{system.k} field tuples exceed the cap {max_tuples}"
         )
+    k = system.k
     p, e = split_prime_power(q0)
-    checks = []
+    checks = []  # (want_eq, one power table per unknown) per relation
     if system.relations:  # with no relation, nothing reads the field
         field = make_field(p, e * system.n)
-        elements = field.nonzero_elements()
         logs = _discrete_logs(field)
-        # one log table per (relation, unknown): table[i] = log(element_i ^ exponent)
+        # insertion order is g^0, g^1, ...; in GF(2) the group is {1}, generated by 1
+        g = next(islice(logs, 1 % group, None))
+        tables = {}  # beta -> its power table, built once
         for rel in system.relations:
-            tables = []
-            for poly in rel.exponents:
-                beta = poly(q0) % group
-                tables.append([logs[field.pow(el, beta)] for el in elements])
-            checks.append((rel.kind == EQ, tables))
+            betas = [poly(q0) % group for poly in rel.exponents]
+            for beta in betas:
+                if beta not in tables:
+                    tables[beta] = _power_table(field, logs, g, beta)
+            checks.append((rel.kind == EQ, [tables[beta] for beta in betas]))
+    # (candidates the lookups in a table leave, equation, unknown)
+    pairs = [
+        (sum(c * c for c in Counter(row[j]).values()), r, j)
+        for r, (want_eq, row) in enumerate(checks)
+        if want_eq
+        for j in range(k)
+    ]
+    if pairs:
+        _, r, j = min(pairs)
+        pivot = checks.pop(r)[1]
+    else:  # the trivial equation 1 = 1: every log is 0
+        j, pivot = k - 1, [[0] * group] * k
+    positions = defaultdict(list)
+    for x, value in enumerate(pivot[j]):
+        positions[value].append(x)
+    others = [i for i in range(k) if i != j]
+    pivot_others = [pivot[i] for i in others]
+    rest = [(want_eq, [row[i] for i in others], row[j]) for want_eq, row in checks]
     count = 0
-    for combo in product(range(group), repeat=system.k):
-        for want_eq, tables in checks:
-            total = sum(table[i] for table, i in zip(tables, combo))
-            if (total % group == 0) != want_eq:
-                break
-        else:
-            count += 1
+    for combo in product(range(group), repeat=k - 1):
+        hits = positions.get(-sum(map(getitem, pivot_others, combo)) % group)
+        if not hits:
+            continue
+        partial = [
+            (want_eq, sum(map(getitem, row, combo)), last) for want_eq, row, last in rest
+        ]
+        for x in hits:
+            for want_eq, total, last in partial:
+                if ((total + last[x]) % group == 0) != want_eq:
+                    break
+            else:
+                count += 1
     return count
 
 

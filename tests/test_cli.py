@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from porcfield import (
     PorcExpression,
+    count_at,
     parse_system,
     synthesize_counting_function,
     synthesize_gcd_function,
@@ -146,13 +148,28 @@ class TestVerify:
         assert all("ok" in line for line in lines)
 
     def test_whole_corpus_verifies(self, tmp_path, capsys):
-        from conftest import CORPUS_TEXTS
+        from conftest import CORPUS, CORPUS_TEXTS
 
-        for name, text in CORPUS_TEXTS.items():
+        def is_prime_power(q):
+            p = next(d for d in range(2, q + 1) if q % d == 0)
+            while q % p == 0:
+                q //= p
+            return q == 1
+
+        for (name, text), max_enum in product(CORPUS_TEXTS.items(), (10**6, 1000)):
             path = tmp_path / f"{name}.mono"
             path.write_text(text)
-            assert main(["verify", str(path)]) == 0, name
-            capsys.readouterr()
+            argv = ["verify", str(path), "--q-range", "2:16", "--max-enum", str(max_enum)]
+            assert main(argv) == 0, name
+            system = CORPUS[name]
+            expected = []
+            for q in range(2, 17):
+                # the closed form, the exponent oracle where its tuples fit the
+                # cap, and the field oracle where q is also a prime power
+                fits = (q**system.n - 1) ** system.k <= max_enum
+                checks = 1 + fits + (fits and is_prime_power(q))
+                expected.append(f"q={q} count={count_at(system, q)} ok ({checks} checks)")
+            assert capsys.readouterr().out.splitlines() == expected, (name, max_enum)
 
     def test_large_prime_q_skips_the_field_oracle_unfactored(self, capsys, monkeypatch):
         import porcfield.ffield as ffield_mod

@@ -254,6 +254,61 @@ def test_field_oracle_matches_literal_products(corpus):
 linear_exponents = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(IntPoly)
 
 
+def test_field_oracle_reads_literal_products(corpus, monkeypatch):
+    system = corpus["quadratic"]
+    expected = exponent_space_count(system, 3)
+    true_mul = ffield.FieldContext.mul
+
+    # a product that ignores its right operand: no orbit reaches every element
+    monkeypatch.setattr(ffield.FieldContext, "mul", lambda self, a, b: a)
+    with pytest.raises(ConsistencyError, match="no generator"):
+        brute_force_count(system, 3)
+
+    # a product that comes out as b where it should be one: every orbit still
+    # stops at its first repeat, so the generator search is unharmed, but the
+    # walk of a power that is no generator leaves its cycle
+    def wrong_at_one(self, a, b):
+        value = true_mul(self, a, b)
+        return b if value == self.one else value
+
+    monkeypatch.setattr(ffield.FieldContext, "mul", wrong_at_one)
+    assert brute_force_count(system, 3) != expected
+
+
+# the literal-product reference is slow; every case below covers at most this many tuples
+REFERENCE_CAP = 300
+
+
+@st.composite
+def lookup_cases(draw):
+    # k <= 3 unknowns, frequent zero exponents so that equations skip unknowns,
+    # possibly no equation at all, and a permutation of the unknowns
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 2))
+    exps = st.one_of(st.just(IntPoly([0])), linear_exponents)
+    rows = st.lists(st.tuples(*[exps] * k), max_size=3)
+    return k, n, draw(rows), draw(rows), draw(st.permutations(range(k)))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(lookup_cases())
+def test_resolved_unknown_matches_literal_products(case):
+    # the oracle resolves the unknown whose table prunes most and loops over
+    # every tuple without an equation; the reference multiplies every tuple out
+    k, n, eqs, neqs, order = case
+    system = make_system(k, n, eqs, neqs)
+    permuted = make_system(
+        k,
+        n,
+        [tuple(row[i] for i in order) for row in eqs],
+        [tuple(row[i] for i in order) for row in neqs],
+    )
+    # q0 = 2 with n = 1 is GF(2), whose multiplicative group has order 1
+    for q0 in (2, 3, 4, 5, 7):
+        if (q0**n - 1) ** k <= REFERENCE_CAP:
+            assert brute_force_count(permuted, q0) == reference_count(system, q0), q0
+
+
 @st.composite
 def oracle_sized_systems(draw):
     k = draw(st.integers(1, 2))

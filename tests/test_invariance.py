@@ -51,6 +51,18 @@ def systems_with_an_equation(draw):
 
 
 @st.composite
+def systems_with_two_equations(draw):
+    # k unknowns, at least two equations, inequations, the indices of two
+    # distinct equations and a multiplier
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    rows = st.tuples(*[exponents] * k)
+    eqs = draw(st.lists(rows, min_size=2, max_size=3))
+    i, j = draw(st.permutations(range(len(eqs))))[:2]
+    return k, n, eqs, draw(st.lists(rows, max_size=2)), i, j, draw(st.integers(-3, 3))
+
+
+@st.composite
 def systems_with_an_inequation(draw):
     # k unknowns, equations, at least one inequation, and the index of one inequation
     k = draw(st.integers(1, 3))
@@ -139,6 +151,17 @@ def test_counting_function_ignores_a_negated_equation(drawn):
     negated = eqs[:i] + [tuple(-p for p in eqs[i])] + eqs[i + 1:]
     forward = _output(make_system(k, n, eqs=eqs, neqs=neqs))
     assert _output(make_system(k, n, eqs=negated, neqs=neqs)) == forward
+
+
+@SETTINGS
+@given(systems_with_two_equations())
+def test_counting_function_ignores_a_row_operation_on_the_equations(drawn):
+    # adding t times one equation to another is undone by subtracting it again,
+    # so the solution set of every subset stays
+    k, n, eqs, neqs, i, j, t = drawn
+    combined = eqs[:i] + [tuple(a + b * t for a, b in zip(eqs[i], eqs[j]))] + eqs[i + 1:]
+    forward = _output(make_system(k, n, eqs=eqs, neqs=neqs))
+    assert _output(make_system(k, n, eqs=combined, neqs=neqs)) == forward
 
 
 # an inequation x^a != 1 holds exactly when x^-a != 1, and every unknown has
