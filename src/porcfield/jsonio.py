@@ -1,12 +1,11 @@
 """JSON encoding/decoding for the exact data types.
 
-Polynomials are ascending coefficient arrays; rationals are "num" or
-"num/den" strings, so nothing is ever rounded.
+Polynomials are ascending coefficient arrays; the alpha and the
+coefficients of a PORC expression are integers written as decimal strings,
+so no JSON reader rounds them.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .polynomial import IntPoly
 from .porc import GcdPorcFunction, PorcExpression
@@ -32,9 +31,9 @@ def porc_to_dict(e: PorcExpression) -> dict:
 
 def porc_from_dict(data: dict) -> PorcExpression:
     terms = tuple(
-        (Fraction(t["coeff"]), int(t["n"]), int(t["m"])) for t in data["terms"]
+        (int(t["coeff"]), int(t["n"]), int(t["m"])) for t in data["terms"]
     )
-    return PorcExpression(alpha=Fraction(data["alpha"]), terms=terms)
+    return PorcExpression(alpha=int(data["alpha"]), terms=terms)
 
 
 def gcd_function_to_dict(g: GcdPorcFunction) -> dict:

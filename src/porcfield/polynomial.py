@@ -112,9 +112,6 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "IntPoly":
-        return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
     def exact_div(self, other: "IntPoly") -> "IntPoly":
         """Exact quotient self / other in Z[x]; raises if the division is not exact."""
         q, r, k = _pseudo_divmod(self, other)

@@ -6,15 +6,16 @@ the polynomial gcd of the family and d is periodic, expressible as
 
     d(x) = alpha + sum_i alpha_i * gcd(x - n_i, m_i)
 
-with rational coefficients, moduli m_i > 1 and shifts 0 <= n_i < m_i.  This
-module computes that expression exactly.
+with integer coefficients, moduli m_i > 1 and shifts 0 <= n_i < m_i.  This
+module computes that expression exactly, in plain ints.
 
 The construction works prime by prime over a modulus m, a positive integer
 with m * f in the ideal (f_1, ..., f_s) of Z[x].  It comes from a gcd fold
 that builds no cofactors (``_gcd_fold``); for random families m is
 resultant-sized, far beyond any per-residue loop.  The solution classes of
-h_i(x) = 0 mod p^j are found by root extraction and Hensel-style lifting,
-each contributing a difference gcd(x-c, p^j) - gcd(x-c, p^(j-1)), and the
+h_i(x) = 0 mod p^j are found by extracting the roots of one member mod p,
+keeping those where the others vanish too, and Hensel-style lifting, each
+contributing a difference gcd(x-c, p^j) - gcd(x-c, p^(j-1)), and the
 per-prime pieces are multiplied out via CRT.  Only the prime factorization
 of the modulus enters the result, and any integer of the family's ideal
 gives the same closed form, so neither the order of the family nor the fold
@@ -26,10 +27,9 @@ ScaleCapError; a modulus of 2^64 or more is first cut down by
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
-from ._gfpoly import factorize, gf_from_coeffs, gf_gcd, gf_roots
+from ._gfpoly import factorize, gf_eval, gf_from_coeffs, gf_roots
 from ._record import Record
 from .errors import ConsistencyError, ScaleCapError
 from .polynomial import IntPoly, _ext_euclid, content_and_primitive
@@ -50,10 +50,10 @@ class PorcExpression(Record):
 
     __slots__ = ("alpha", "terms")
     _defaults = {"terms": ()}
-    alpha: Fraction
-    terms: tuple[tuple[Fraction, int, int], ...]
+    alpha: int
+    terms: tuple[tuple[int, int, int], ...]
 
-    def __call__(self, x: int) -> Fraction:
+    def __call__(self, x: int) -> int:
         return porc_eval(self, x)
 
     def render(self, var: str = "q") -> str:
@@ -78,7 +78,7 @@ class PorcExpression(Record):
         return self.render()
 
 
-PORC_ONE = PorcExpression(Fraction(1))
+PORC_ONE = PorcExpression(1)
 
 
 class GcdPorcFunction(Record):
@@ -125,13 +125,13 @@ def build_indicator(m: int) -> PorcExpression:
     """
     if m <= 1:
         raise ValueError("indicator modulus must exceed 1")
-    raw = [(Fraction(1), 0, m)]
+    raw = [(1, 0, m)]
     for p in factorize(m):
         raw += [(-coeff, 0, mod // p) for coeff, _, mod in raw]
-    return porc_canonicalize(PorcExpression(Fraction(0), tuple(raw)))
+    return porc_canonicalize(PorcExpression(0, tuple(raw)))
 
 
-def porc_eval(e: PorcExpression, x: int) -> Fraction:
+def porc_eval(e: PorcExpression, x: int) -> int:
     """Exact value of the expression; gcd(0, m) is taken as m."""
     acc = e.alpha
     for coeff, n, m in e.terms:
@@ -142,13 +142,13 @@ def porc_eval(e: PorcExpression, x: int) -> Fraction:
 def porc_canonicalize(e: PorcExpression) -> PorcExpression:
     """Reduce shifts into [0, m_i), fold m_i = 1 into alpha, merge and drop terms."""
     alpha = e.alpha
-    merged: dict[tuple[int, int], Fraction] = {}
+    merged: dict[tuple[int, int], int] = {}
     for coeff, n, m in e.terms:
         if m == 1:
             alpha += coeff
         else:
             key = (m, n % m)
-            merged[key] = merged.get(key, Fraction(0)) + coeff
+            merged[key] = merged.get(key, 0) + coeff
     terms = tuple((coeff, n, m) for (m, n), coeff in sorted(merged.items()) if coeff)
     return PorcExpression(alpha=alpha, terms=terms)
 
@@ -216,34 +216,53 @@ def _crt(r1: int, m1: int, r2: int, m2: int) -> int:
     return (r1 + m1 * ((r2 - r1) * pow(m1, -1, m2) % m2)) % (m1 * m2)
 
 
+def _value_and_slope(coeffs, x: int, mod: int) -> tuple[int, int]:
+    """(h(x) mod mod, h'(x) mod mod) for h with these coefficients, in one Horner pass."""
+    v = s = 0
+    for c in reversed(coeffs):
+        s = (s * x + v) % mod
+        v = (v * x + c) % mod
+    return v, s
+
+
 def _solution_levels(hs, p: int, e: int) -> list[list[int]]:
     """Residues mod p^j (j = 1, 2, ...) where every h_i vanishes mod p^j.
 
     Returns one sorted residue list per level, stopping at the first empty
-    level or at level e.  Level j+1 is lifted from level j: on a residue c
-    with all h_i(c) = 0 mod p^j, the children c + t*p^j that survive are cut
-    out by the linear congruences h_i(c) + t*p^j*h_i'(c) = 0 mod p^(j+1)
-    (exact for j >= 1 since the quadratic correction has valuation 2j).
+    level or at level e.  Level 1 is the roots of the first member that is
+    nonzero mod p at which every other member vanishes mod p too, that is
+    the roots of the members' gcd mod p.  Level j+1 is lifted from level j:
+    on a residue c with all h_i(c) = 0 mod p^j, the children c + t*p^j that
+    survive are cut out by the linear congruences
+    h_i(c) + t*p^j*h_i'(c) = 0 mod p^(j+1) (exact for j >= 1 since the
+    quadratic correction has valuation 2j).
     """
-    g = []
-    for h in hs:
-        g = gf_gcd(g, gf_from_coeffs(h.coeffs, p), p)
-        if len(g) == 1:
+    rest = iter(hs)
+    first: list[int] = []
+    for h in rest:
+        first = gf_from_coeffs(h.coeffs, p)
+        if first:
+            break
+    # gf_roots refuses the zero polynomial: the content is divided out, so
+    # some member is nonzero mod p
+    level = gf_roots(first, p)
+    for h in rest:
+        if not level:
             return []
-    level = gf_roots(g, p)
+        level = [c for c in level if gf_eval(h.coeffs, c, p) == 0]
     if not level:
         return []
-    levels = [sorted(level)]
-    ds = [h.derivative() for h in hs] if e > 1 else []
+    levels = [level]
     for j in range(2, e + 1):
-        pj1 = p ** (j - 1)
+        pj, pj1 = p**j, p ** (j - 1)
         cur: list[int] = []
         for c in levels[-1]:
             t_fixed: int | None = None
             dead = False
-            for h, dh in zip(hs, ds):
-                a_i = (h(c) // pj1) % p
-                b_i = dh(c) % p
+            for h in hs:
+                v, s = _value_and_slope(h.coeffs, c, pj)
+                a_i = v // pj1
+                b_i = s % p
                 if b_i == 0:
                     if a_i == 0:
                         continue
@@ -333,7 +352,7 @@ def _synthesize_factored(fs, f: IntPoly, m0: int) -> GcdPorcFunction:
                 terms.append((-1, c % pj1, pj1))
         local_lists.append(terms)
     if not local_lists:
-        d = PorcExpression(Fraction(gamma)) if gamma > 1 else PORC_ONE
+        d = PorcExpression(gamma) if gamma > 1 else PORC_ONE
         return GcdPorcFunction(f=f, d=d, m=max(gamma, 1))
     combined: list[tuple[int, int, int]] = [(1, 0, 1)]
     for terms in local_lists:
@@ -346,8 +365,8 @@ def _synthesize_factored(fs, f: IntPoly, m0: int) -> GcdPorcFunction:
                 f"{len(new)} factored synthesis terms exceed TERM_BUDGET = {TERM_BUDGET}"
             )
         combined = new
-    raw = [(Fraction(gamma * c), r, m) for c, r, m in combined]
-    d = porc_canonicalize(PorcExpression(Fraction(0), tuple(raw)))
+    raw = [(gamma * c, r, m) for c, r, m in combined]
+    d = porc_canonicalize(PorcExpression(0, tuple(raw)))
     check_porc_invariants(d)
     return GcdPorcFunction(f=f, d=d, m=stored_m)
 
@@ -374,12 +393,12 @@ def porc_to_residue_table(obj) -> tuple[int, list[IntPoly]]:
         )
     table = []
     for r in range(modulus):
-        coeffs: list[Fraction] = []
+        coeffs: list[int] = []
         for sign, g in parts:
             dval = sign * porc_eval(g.d, r)
             fc = g.f.coeffs
             if len(fc) > len(coeffs):
-                coeffs.extend([Fraction(0)] * (len(fc) - len(coeffs)))
+                coeffs.extend([0] * (len(fc) - len(coeffs)))
             for i, c in enumerate(fc):
                 coeffs[i] += dval * c
         if any(c.denominator != 1 for c in coeffs):

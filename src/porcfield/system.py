@@ -13,7 +13,6 @@ once per q, and the synthesis expands it into maximal minors once.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from ._record import Record
@@ -194,7 +193,7 @@ def counting_eval(cf: CountingFunction, q0: int) -> int:
     """Exact value of the counting function at q0 (any integer >= 2)."""
     if q0 < 2:
         raise ValueError("q must be at least 2")
-    total = Fraction(0)
+    total = 0
     for sign, g in cf.terms:
         total += sign * porc_eval(g.d, q0) * abs(g.f(q0))
     if total.denominator != 1:

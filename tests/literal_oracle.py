@@ -64,7 +64,7 @@ def literal_synthesis(fs) -> GcdPorcFunction:
     if m == 1:
         return GcdPorcFunction(f=f, d=PORC_ONE, m=1)
     k = build_indicator(m)
-    c = porc_eval(k, m)  # Euler's totient of m
+    c = Fraction(porc_eval(k, m))  # Euler's totient of m, kept exact in the divisions below
     # d(x) = 1 + sum over classes a with d(a) > 1 of (d(a)-1)/c * k(x-a),
     # where k(x-a)/c is 1 on the class a mod m and 0 elsewhere
     alpha = Fraction(1)

@@ -311,8 +311,9 @@ def _fresh_python(code, *args):
 
 
 # modules a cold process must not pay for: numpy and sympy are not dependencies,
-# dataclasses pulls in inspect, ast, dis and tokenize, and json is for --format json
-UNLOADED = "{'numpy', 'sympy', 'dataclasses', 'inspect'}"
+# dataclasses pulls in inspect, ast, dis and tokenize, fractions pulls in decimal
+# (every coefficient is an int), and json is for --format json
+UNLOADED = "{'numpy', 'sympy', 'dataclasses', 'inspect', 'fractions', 'decimal'}"
 
 
 def test_cli_import_leaves_numpy_and_sympy_unloaded():

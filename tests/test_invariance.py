@@ -9,6 +9,8 @@ import porcfield.porc as porc
 from porcfield import (
     IntPoly,
     bezout_cofactors,
+    count_at,
+    counting_eval,
     make_system,
     synthesize_counting_function,
     synthesize_gcd_function,
@@ -176,6 +178,21 @@ def test_counting_function_ignores_a_negated_inequation(drawn):
     negated = neqs[:i] + [tuple(-p for p in neqs[i])] + neqs[i + 1:]
     forward = _output(make_system(k, n, eqs=eqs, neqs=neqs))
     assert _output(make_system(k, n, eqs=eqs, neqs=negated)) == forward
+
+
+@SETTINGS
+@given(systems_with_an_inequation())
+def test_counting_function_ignores_a_duplicated_inequation(drawn):
+    # the repeated row doubles the inclusion-exclusion subsets, so the terms
+    # change; the values of the closed form and of count_at must not
+    k, n, eqs, neqs, i = drawn
+
+    def values(system):
+        cf = synthesize_counting_function(system)
+        return [(counting_eval(cf, q), count_at(system, q)) for q in range(2, 17)]
+
+    forward = values(make_system(k, n, eqs=eqs, neqs=neqs))
+    assert values(make_system(k, n, eqs=eqs, neqs=neqs + [neqs[i]])) == forward
 
 
 @SETTINGS

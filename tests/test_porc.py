@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from porcfield import (
     GcdPorcFunction,
@@ -213,12 +214,38 @@ def test_gcd_that_does_not_divide_is_a_consistency_error(monkeypatch):
 
 
 def test_zero_gcd_mod_p_exits_3(monkeypatch, capsys):
-    # the content is divided out, so the members' gcd mod p is never zero
-    monkeypatch.setattr(porc, "gf_gcd", lambda a, b, p: [])
+    # the content is divided out, so some member is nonzero mod p; one where
+    # every member vanishes mod p is an internal invariant failure
+    monkeypatch.setattr(porc, "gf_from_coeffs", lambda coeffs, p: [])
     assert main(["gcd-porc", "--text", "x^2+x\nx^2-x"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal consistency error: zero polynomial")
+
+
+@st.composite
+def content_one_families(draw):
+    # 1-4 nonzero members sharing a factor, often with a repeated root, so
+    # that several levels survive; the content of the family is 1
+    shared = draw(st.sampled_from([P("1"), P("x"), P("x^2"), P("x-1"), P("x^2+x+1")]))
+    bases = st.lists(st.integers(-9, 9), min_size=1, max_size=4).map(IntPoly).filter(bool)
+    hs = [b * shared for b in draw(st.lists(bases, min_size=1, max_size=4))]
+    assume(gcd(*(c for h in hs for c in h.coeffs)) == 1)
+    return hs
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(content_one_families(), st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 3))
+def test_solution_levels_are_the_common_roots_mod_each_prime_power(hs, p, e):
+    # level j holds every c mod p^j with h_i(c) = 0 mod p^j for all i, up to
+    # the first empty level
+    expected = []
+    for j in range(1, e + 1):
+        level = [c for c in range(p**j) if all(h(c) % p**j == 0 for h in hs)]
+        if not level:
+            break
+        expected.append(level)
+    assert porc._solution_levels(hs, p, e) == expected
 
 
 def test_bezout_modulus_beyond_the_step_cap_is_shrunk_first():

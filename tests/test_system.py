@@ -27,6 +27,7 @@ from porcfield import (
     synthesize_counting_function,
 )
 from porcfield.errors import ConsistencyError
+from porcfield.jsonio import counting_function_from_dict, counting_function_to_dict
 from porcfield.porc import PORC_ONE
 from porcfield.system import EQ, NEQ
 
@@ -181,6 +182,20 @@ def test_synthesis_agreement_across_corpus(corpus):
         cf = synthesize_counting_function(system)
         for q0 in range(2, 51):
             assert counting_eval(cf, q0) == count_at(system, q0), (name, q0)
+
+
+def test_synthesized_coefficients_are_ints(corpus):
+    # the closed forms are built in plain ints, and read back from JSON as ints;
+    # the corpus synthesizes 10 gcd terms
+    terms = 0
+    for name, system in corpus.items():
+        cf = synthesize_counting_function(system)
+        decoded = counting_function_from_dict(counting_function_to_dict(cf))
+        terms += sum(len(g.d.terms) for _, g in cf.terms)
+        for _, g in cf.terms + decoded.terms:
+            assert type(g.d.alpha) is int, name
+            assert all(type(coeff) is int for coeff, _, _ in g.d.terms), name
+    assert terms == 10
 
 
 def test_count_at_matches_both_oracles_on_corpus(corpus):
