@@ -15,8 +15,10 @@ that builds no cofactors (``_gcd_fold``); for random families m is
 resultant-sized, far beyond any per-residue loop.  The solution classes of
 h_i(x) = 0 mod p^j are found by extracting the roots of one member mod p,
 keeping those where the others vanish too, and Hensel-style lifting, each
-contributing a difference gcd(x-c, p^j) - gcd(x-c, p^(j-1)), and the
-per-prime pieces are multiplied out via CRT.  Only the prime factorization
+contributing a difference gcd(x-c, p^j) - gcd(x-c, p^(j-1)).  Each prime's
+piece is built with its equal terms merged, and the pieces are multiplied
+together through CRT; their moduli are coprime, so the product has no two
+equal terms and needs no merging.  Only the prime factorization
 of the modulus enters the result, and any integer of the family's ideal
 gives the same closed form, so neither the order of the family nor the fold
 that produced m shows in it.  ``_gfpoly.factorize`` computes the
@@ -40,7 +42,6 @@ from .polynomial import bezout_cofactors  # noqa: F401
 #: Caps on intermediate sizes in the factored construction.
 CLASS_BUDGET = 20_000
 TERM_BUDGET = 200_000
-CHILD_ENUM_CAP = 3_000
 #: Most residue classes porc_to_residue_table builds, one row each.
 TABLE_ROW_CAP = 100_000
 
@@ -209,10 +210,7 @@ def synthesize_gcd_function(fs, fold: tuple[IntPoly, int] | None = None) -> GcdP
 
 
 def _crt(r1: int, m1: int, r2: int, m2: int) -> int:
-    if m1 == 1:
-        return r2
-    if m2 == 1:
-        return r1
+    """The residue mod m1*m2 of x = r1 mod m1, x = r2 mod m2, for coprime m1, m2."""
     return (r1 + m1 * ((r2 - r1) * pow(m1, -1, m2) % m2)) % (m1 * m2)
 
 
@@ -276,19 +274,16 @@ def _solution_levels(hs, p: int, e: int) -> list[list[int]]:
                     break
             if dead:
                 continue
+            # a singular lift keeps all p children, a regular one a single child
+            size = len(cur) + (p if t_fixed is None else 1)
+            if size > CLASS_BUDGET:
+                raise ScaleCapError(
+                    f"{size} solution classes mod {p}^{j} exceed CLASS_BUDGET = {CLASS_BUDGET}"
+                )
             if t_fixed is None:
-                if p > CHILD_ENUM_CAP:
-                    raise ScaleCapError(
-                        f"singular solution lift at prime {p} exceeds "
-                        f"CHILD_ENUM_CAP = {CHILD_ENUM_CAP}"
-                    )
                 cur.extend(c + t * pj1 for t in range(p))
             else:
                 cur.append(c + t_fixed * pj1)
-        if len(cur) > CLASS_BUDGET:
-            raise ScaleCapError(
-                f"{len(cur)} solution classes mod {p}^{j} exceed CLASS_BUDGET = {CLASS_BUDGET}"
-            )
         if not cur:
             break
         levels.append(sorted(cur))
@@ -318,17 +313,20 @@ def _shrink_modulus(hs, m: int) -> int:
 
 
 def _synthesize_factored(fs, f: IntPoly, m0: int) -> GcdPorcFunction:
-    # one member per sign class, in order of first occurrence: the first
-    # nonzero member stays the anchor of _shrink_modulus
-    members: dict[tuple[int, ...], IntPoly] = {}
-    for p in fs:
-        if p:
-            members.setdefault(p.coeffs if p.leading > 0 else tuple(-c for c in p.coeffs), p)
-    if f.degree == 0:
-        hs = list(members.values())  # f is 1
-    else:
+    """The closed form of the nonzero members of fs, whose gcd f has modulus m0.
+
+    d is a dict {(modulus, shift): coeff}, with alpha under (1, 0).  It starts
+    as the family content gamma and is multiplied through CRT by each prime's
+    local expression 1 + sum over classes c mod p^j of
+    gcd(x-c, p^j) - gcd(x-c, p^(j-1)), built merged; zeros are dropped.  The
+    moduli of different primes are coprime, so the CRT map is one to one:
+    every product key is distinct and d is canonical once sorted.
+    TERM_BUDGET bounds the keys of each product.
+    """
+    hs = [p for p in fs if p]
+    if f.degree != 0:
         try:
-            hs = [p.exact_div(f) for p in members.values()]
+            hs = [p.exact_div(f) for p in hs]
         except ValueError as exc:
             raise ConsistencyError("the polynomial gcd does not divide every member") from exc
     gamma = gcd(*(c for h in hs for c in h.coeffs))
@@ -336,39 +334,35 @@ def _synthesize_factored(fs, f: IntPoly, m0: int) -> GcdPorcFunction:
         hs = [IntPoly(tuple(c // gamma for c in h.coeffs)) for h in hs]
     if m0 % gamma:
         raise ConsistencyError("family content does not divide the modulus")
-    local_lists = []
+    d = {(1, 0): gamma}
     stored_m = gamma
     for p, e in factorize(_shrink_modulus(hs, m0 // gamma)).items():
         levels = _solution_levels(hs, p, e)
-        if not levels:
-            continue
         stored_m *= p ** len(levels)
-        terms: list[tuple[int, int, int]] = [(1, 0, 1)]
+        local = {(1, 0): 1}
         for j, classes in enumerate(levels, start=1):
-            pj, pj1 = p**j, p ** (j - 1)
+            pj1 = p ** (j - 1)
             for c in classes:
-                # (p^j - p^(j-1)) * [x = c mod p^j], written as a gcd difference
-                terms.append((1, c % pj, pj))
-                terms.append((-1, c % pj1, pj1))
-        local_lists.append(terms)
-    if not local_lists:
-        d = PorcExpression(gamma) if gamma > 1 else PORC_ONE
-        return GcdPorcFunction(f=f, d=d, m=max(gamma, 1))
-    combined: list[tuple[int, int, int]] = [(1, 0, 1)]
-    for terms in local_lists:
-        new = []
-        for c1, r1, m1 in combined:
-            for c2, r2, m2 in terms:
-                new.append((c1 * c2, _crt(r1, m1, r2, m2), m1 * m2))
+                # (p^j - p^(j-1)) * [x = c mod p^j] is +1 on c's key, which
+                # no earlier level touched, and -1 on its parent's key
+                local[p * pj1, c] = 1
+                parent = (pj1, c % pj1)
+                local[parent] = local.get(parent, 0) - 1
+        new = {
+            (m1 * m2, _crt(r1, m1, r2, m2)): c1 * c2
+            for (m1, r1), c1 in d.items()
+            for (m2, r2), c2 in local.items()
+            if c2
+        }
         if len(new) > TERM_BUDGET:
             raise ScaleCapError(
                 f"{len(new)} factored synthesis terms exceed TERM_BUDGET = {TERM_BUDGET}"
             )
-        combined = new
-    raw = [(gamma * c, r, m) for c, r, m in combined]
-    d = porc_canonicalize(PorcExpression(0, tuple(raw)))
-    check_porc_invariants(d)
-    return GcdPorcFunction(f=f, d=d, m=stored_m)
+        d = new
+    alpha = d.pop((1, 0), 0)
+    expr = PorcExpression(alpha, tuple((c, n, m) for (m, n), c in sorted(d.items())))
+    check_porc_invariants(expr)
+    return GcdPorcFunction(f=f, d=expr, m=stored_m)
 
 
 def porc_to_residue_table(obj) -> tuple[int, list[IntPoly]]:

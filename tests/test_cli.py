@@ -4,14 +4,12 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import pytest
 
 from porcfield import (
-    PorcExpression,
     count_at,
     parse_system,
     synthesize_counting_function,
@@ -235,9 +233,9 @@ class TestExitCodes:
     def test_invariant_failure_is_3(self, capsys, monkeypatch):
         import porcfield.porc as porc_mod
 
-        # a canonicalization that leaves a shift unreduced breaks the invariants
-        broken = PorcExpression(Fraction(0), ((Fraction(1), 2, 2),))
-        monkeypatch.setattr(porc_mod, "porc_canonicalize", lambda e: broken)
+        # a CRT that returns the product modulus, an unreduced shift, breaks
+        # the invariants the synthesis checks
+        monkeypatch.setattr(porc_mod, "_crt", lambda r1, m1, r2, m2: m1 * m2)
         assert main(["gcd-porc", "--text", "x^2+x\nx^2-x"]) == 3
         assert "internal consistency error: shift 2 outside [0, 2)" in capsys.readouterr().err
 

@@ -196,14 +196,31 @@ def test_factored_construction_agrees_with_literal():
         _check_against_oracle(fs, g)
 
 
-@pytest.mark.parametrize(
-    "cap, value", [("CHILD_ENUM_CAP", 1), ("CLASS_BUDGET", 0), ("TERM_BUDGET", 1)]
-)
+@pytest.mark.parametrize("cap, value", [("CLASS_BUDGET", 0), ("TERM_BUDGET", 1)])
 def test_factored_size_caps_raise_scale_cap_error(monkeypatch, cap, value):
-    # x^2 and x^2+4 need a singular two-level lift at p = 2, which reaches every cap
+    # x^2 and x^2+4 need a singular two-level lift at p = 2, which reaches both caps
     monkeypatch.setattr(porc, cap, value)
     with pytest.raises(ScaleCapError, match=cap):
         synthesize_gcd_function([P("x^2"), P("x^2+4")])
+
+
+def test_singular_lift_at_a_large_prime_keeps_every_child():
+    # x^2 and x^2 + p^2 vanish together on every multiple of p mod p^2: a
+    # singular lift with p children, bounded by CLASS_BUDGET alone
+    p = 3001
+    fs = [P("x^2"), P(f"x^2+{p * p}")]
+    g = synthesize_gcd_function(fs)
+    assert g.m == p * p and len(g.d.terms) == p + 1
+    for x in [0, p, 2 * p, p * p, 7 * p + 1, 5, 123456]:
+        assert g.value_at(x) == gcd(x * x, x * x + p * p), x
+
+
+def test_term_budget_bounds_the_terms_kept(monkeypatch):
+    # the three classes at p = 2 give a constant and two terms per class,
+    # seven in all, which merge to the three terms that d keeps
+    monkeypatch.setattr(porc, "TERM_BUDGET", 3)
+    g = synthesize_gcd_function([P("x^2"), P("x^2+4")])
+    assert str(g.d) == "-gcd(q,2)+gcd(q,4)+gcd(q-2,4)"
 
 
 def test_gcd_that_does_not_divide_is_a_consistency_error(monkeypatch):
@@ -268,7 +285,7 @@ UNFACTORABLE = 10000000000037 * 20000000000021
     "fs", [[IntPoly([2]), IntPoly([2])], [P("x"), P("x"), P("x+6")], [P("x"), P("-x"), P("x+6")]]
 )
 def test_duplicated_members_still_shrink_an_unfactorable_modulus(fs):
-    # duplicates up to sign are folded away before the shrink; a constant
+    # a member repeated up to sign gives the shrink nothing new; a constant
     # anchor (2 over its own gcd 2 leaves 1) must still cut the modulus
     f, _, m = bezout_cofactors(fs)
     assert porc._synthesize_factored(fs, f, m * UNFACTORABLE) == synthesize_gcd_function(fs)

@@ -1,7 +1,8 @@
-"""The package's public names and runtime dependencies, pinned."""
+"""The package's public names, runtime dependencies and documented caps, pinned."""
 
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -95,3 +96,31 @@ def test_no_runtime_dependencies_are_declared():
     tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project["dependencies"] == []
+
+
+CAP_NAME = re.compile(r"MAX_\w+|\w+_(?:CAP|BUDGET|LIMIT)")
+
+
+def _package_caps():
+    """Module-level cap constants of the package's source."""
+    names = set()
+    for path in sorted((ROOT / "src" / "porcfield").glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.Assign):
+                names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return {name for name in names if CAP_NAME.fullmatch(name)}
+
+
+def _readme_caps():
+    """Backticked cap names in the README's bulleted list of size caps."""
+    text = (ROOT / "README.md").read_text()
+    items = text.index("\n\n- ", text.index("Every size cap exits 2"))
+    cap_list = text[items : text.index("\n\n", items + 2)]
+    return {name for name in re.findall(r"`(\w+)`", cap_list) if CAP_NAME.fullmatch(name)}
+
+
+def test_every_cap_is_in_the_readme_and_every_listed_cap_exists():
+    caps, listed = _package_caps(), _readme_caps()
+    assert {"CLASS_BUDGET", "TERM_BUDGET", "MAX_FIELD_ORDER"} <= caps
+    assert not caps - listed, "caps missing from the README"
+    assert not listed - caps, "README caps the package does not define"
