@@ -4,14 +4,14 @@ Polynomials are plain lists of ints in [0, p), ascending by degree, with no
 trailing zeros ([] is the zero polynomial).  Only the small-degree routines
 needed elsewhere in the package live here: multiplication, Euclid, modular
 powering, root extraction and an irreducibility test.  ``porc``'s modular
-root finding runs on them, and so do the field oracle's GF(p^n)
-multiplication and powering (``gf_mul``, ``gf_divmod``, ``gf_pow_mod``).
+root finding runs on them.  The field oracle uses only the irreducibility
+test, to pick its modulus; its GF(p^n) product is ``FieldContext.mul``.
 
 ``factorize`` is the one integer factorization in the package: trial
 division, the Baillie-PSW primality test and Pollard-Brent rho under
 ``FACTOR_STEP_CAP``.  It factors ``porc``'s Bezout moduli and serves
-``split_prime_power``, ``make_field``'s primality check and
-``gf_is_irreducible``.
+``split_prime_power``, ``make_field``'s primality check, the field
+oracle's generator test and ``gf_is_irreducible``.
 """
 
 from __future__ import annotations
@@ -320,12 +320,18 @@ def _charge(steps: int, more: int, n: int) -> int:
 
 
 def gf_is_irreducible(a: list[int], p: int) -> bool:
-    """Rabin irreducibility test for a monic polynomial over GF(p)."""
+    """Rabin irreducibility test for a monic polynomial over GF(p).
+
+    A root at 0 or 1 (a(0) = 0 or a(1) = 0) rules out degree 2 and above
+    before any powering.
+    """
     n = len(a) - 1
     if n <= 0:
         return False
     if n == 1:
         return True
+    if a[0] % p == 0 or sum(a) % p == 0:
+        return False
     # x^(p^j) mod a, computed by iterating the Frobenius
     def frob_iter(times: int) -> list[int]:
         u = [0, 1]

@@ -3,28 +3,32 @@
 Two structurally different ground truths for solution counts: literal
 enumeration of field-element tuples in an explicitly constructed GF(p^n),
 and a meet-in-the-middle count of the exponent tuples solving the
-corresponding linear congruences mod q^n - 1.  The field oracle's power
-tables come from walking the orbit of g^beta, for a generator g, one
-literal field multiplication per element; one unknown per tuple is then
-resolved by a lookup in the table that prunes most, and the rest of the
-relations are checked on the elements that lookup returns.  Neither oracle
-uses the relation matrix, its minors, the gcd synthesis or the Smith
-normal form.  What they share with the symbolic pipeline: both read the
-parsed system and evaluate its exponents with ``IntPoly``, and the field
-oracle's arithmetic runs on ``_gfpoly``: multiplication and powering in
-GF(p^n) are ``gf_mul``, ``gf_divmod`` and ``gf_pow_mod`` modulo the
-field's modulus, the modulus comes from ``gf_is_irreducible``, and
-primality comes from ``factorize``.  ``porc``'s modular root finding uses
-the same routines; ``count_at`` and the exponent oracle use none of them.
+corresponding linear congruences mod q^n - 1.  Neither oracle uses the
+relation matrix, its minors, the gcd synthesis or the Smith normal form;
+both read the parsed system and evaluate its exponents with ``IntPoly``.
+
+The field oracle multiplies with ``FieldContext.mul``: the schoolbook
+product of two coefficient tuples, its high coefficients folded back with
+the rows t^(n+j) mod the modulus and reduced mod p once; ``pow`` is square
+and multiply on it.  The generator g is the first element whose order is
+the group order, and each power table walks the cycle of g^beta once, one
+literal multiplication per element, and repeats it to the group order.
+One unknown per tuple is then resolved by a lookup in the table that
+prunes most, and the rest of the relations are checked on the elements
+that lookup returns.  From ``_gfpoly`` it takes only ``gf_is_irreducible``,
+which picks the modulus, and ``factorize``, for primality and the prime
+factors of the group order.  ``count_at`` and the exponent oracle use none
+of this arithmetic.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from itertools import islice, product
+from math import gcd
 from operator import getitem, ne
 
-from ._gfpoly import factorize, gf_divmod, gf_is_irreducible, gf_mul, gf_pow_mod
+from ._gfpoly import factorize, gf_is_irreducible
 from .errors import ConsistencyError, ScaleCapError
 from .system import EQ, MonomialSystem
 
@@ -54,23 +58,47 @@ class FieldContext:
         self.order = p**n
         self.zero = (0,) * n
         self.one = tuple(1 if i == 0 else 0 for i in range(n))
-
-    def _element(self, coeffs: list[int]):
-        # a reduced GF(p) polynomial back to a length-n tuple
-        return tuple(coeffs) + (0,) * (self.n - len(coeffs))
+        # t^(n+j) mod modulus for j = 0..n-2, the rows a product's high
+        # coefficients fold back with: t^n = -(m_0 + ... + m_(n-1) t^(n-1))
+        row = [-c % p for c in modulus[:n]]
+        self._folds = []
+        for _ in range(n - 1):
+            self._folds.append(row)
+            top = row[-1]
+            row = [(low - top * c) % p for low, c in zip([0] + row[:-1], modulus)]
 
     def add(self, a, b):
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
 
     def mul(self, a, b):
-        return self._element(gf_divmod(gf_mul(a, b, self.p), self.modulus, self.p)[1])
+        """The schoolbook product, folded back below t^n and reduced mod p once."""
+        n = self.n
+        prod = [0] * (2 * n - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    prod[j] += x * y
+        low = prod[:n]
+        for c, row in zip(prod[n:], self._folds):
+            if c:
+                for i, r in enumerate(row):
+                    low[i] += c * r
+        p = self.p
+        return tuple([c % p for c in low])
 
     def pow(self, a, e: int):
         """a^e for nonzero a, with e reduced into the multiplicative group."""
         if a == self.zero:
             raise ValueError("zero has no well-defined group power")
-        return self._element(gf_pow_mod(a, e % (self.order - 1), self.modulus, self.p))
+        e %= self.order - 1
+        result = self.one
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return result
 
     def inverse(self, a):
         return self.pow(a, self.order - 2)
@@ -90,7 +118,7 @@ def make_field(p: int, n: int) -> FieldContext:
     if n < 1:
         raise ValueError("extension degree must be at least 1")
     if p**n > MAX_FIELD_ORDER:
-        raise ScaleCapError(f"field order {p ** n} exceeds the cap {MAX_FIELD_ORDER}")
+        raise ScaleCapError(f"field order {p ** n} exceeds MAX_FIELD_ORDER = {MAX_FIELD_ORDER}")
     for lower in range(p**n):
         coeffs = []
         m = lower
@@ -106,19 +134,25 @@ def make_field(p: int, n: int) -> FieldContext:
 def _discrete_logs(field: FieldContext) -> dict:
     """{element: log} to the base of the first generator of the multiplicative group.
 
-    Each candidate's orbit is walked from one by literal multiplication up to
-    the first repeat.  A generator's orbit holds all p^n - 1 nonzero elements;
-    a reducible modulus can also give an orbit of that length through zero.
+    A candidate c generates the group of order N = p^n - 1 exactly when
+    c^(N/r) != 1 for every prime r dividing N (Lidl and Niederreiter,
+    *Finite Fields*); candidates that fail are skipped.  The orbit of the
+    first one left is then walked from one by literal multiplication up to
+    its first repeat.  A generator's orbit holds all N nonzero elements; a
+    reducible modulus can also give an orbit of that length through zero.
     """
     group = field.order - 1
-    for candidate in field.nonzero_elements():
-        logs = {}
-        x = field.one
-        while x not in logs:
-            logs[x] = len(logs)
-            x = field.mul(x, candidate)
-        if len(logs) == group and field.zero not in logs:
-            return logs
+    cofactors = [group // r for r in factorize(group)]
+    for candidate in islice(field.elements(), 1, None):  # elements() yields zero first
+        if all(field.pow(candidate, c) != field.one for c in cofactors):
+            logs = {}
+            x = field.one
+            while x not in logs:
+                logs[x] = len(logs)
+                x = field.mul(x, candidate)
+            if len(logs) == group and field.zero not in logs:
+                return logs
+            break
     raise ConsistencyError(
         f"no generator of the multiplicative group of GF({field.p}^{field.n}) "
         f"under the modulus {field.modulus}"
@@ -126,18 +160,34 @@ def _discrete_logs(field: FieldContext) -> dict:
 
 
 def _power_table(field: FieldContext, logs: dict, g, beta: int) -> list[int]:
-    """[log((g^i)^beta) for i in range(p^n - 1)], walking the orbit of h = g^beta.
+    """[log((g^i)^beta) for i in range(p^n - 1)], walking the cycle of h = g^beta.
 
-    h is one literal ``field.pow``; each further entry is one literal
-    ``field.mul`` by h, since (g^i)^beta = h^i.
+    h is one literal ``field.pow``; each further element of its cycle is one
+    literal ``field.mul`` by h, since (g^i)^beta = h^i, until the walk is
+    back at one.  The table is that cycle repeated N / len(cycle) times.  A
+    walk that leaves the logs, does not close within N steps or closes on a
+    length that does not divide N is a faulty product.
     """
+    group = len(logs)
     h = field.pow(g, beta)
-    table = []
+    cycle = []
     y = field.one
-    for _ in range(len(logs)):
-        table.append(logs[y])
+    for _ in range(group):
+        log = logs.get(y)
+        if log is None:
+            raise ConsistencyError(f"the walk of g^{beta} reached {y}, which has no log")
+        cycle.append(log)
         y = field.mul(y, h)
-    return table
+        if y == field.one:
+            break
+    else:
+        raise ConsistencyError(f"the walk of g^{beta} did not close within {group} steps")
+    if group % len(cycle):
+        raise ConsistencyError(
+            f"the walk of g^{beta} closed after {len(cycle)} steps, "
+            f"which does not divide {group}"
+        )
+    return cycle * (group // len(cycle))
 
 
 def brute_force_count(
@@ -149,8 +199,9 @@ def brute_force_count(
     GF(p^(e*n)) and exponent polynomials are evaluated at q0.  Element i of
     each unknown is g^i for the generator g that ``_discrete_logs`` finds.
     The power tables hold the discrete logs of literal field powers: one
-    table per distinct exponent beta, built by walking the orbit of g^beta
-    with one field multiplication per element.  A product of table entries
+    table per distinct exponent beta, built by walking the cycle of g^beta
+    once, one field multiplication per element of the cycle, and repeating
+    it to q0^n - 1 entries.  A product of table entries
     is 1 exactly when the sum of their logs is 0 mod q0^n - 1 (the
     multiplicative group is cyclic).
 
@@ -247,11 +298,15 @@ def exponent_space_count(
     rows = [[poly(q0) % modulus for poly in rel.exponents] for rel in relations]
 
     def step(i):
-        # residue vectors of m * beta over m in Z_modulus, for unknown i
+        # residue vectors of m * v over m in Z_modulus, for unknown i's column v:
+        # its multiples form a cyclic group of order modulus / d, d = gcd(modulus,
+        # v...), and each of them is reached d times
         if not rows:
             return {(): modulus}
-        columns = [[m * row[i] % modulus for m in range(modulus)] for row in rows]
-        return Counter(zip(*columns))
+        column = [row[i] for row in rows]
+        reps = gcd(modulus, *column)
+        multiples = [[m * x % modulus for m in range(modulus // reps)] for x in column]
+        return dict.fromkeys(zip(*multiples), reps)
 
     def histogram(unknowns):
         if not unknowns:

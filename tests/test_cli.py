@@ -1,5 +1,6 @@
 """Command-line surface: output goldens, exit codes, JSON round trips."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -168,6 +169,19 @@ class TestVerify:
                 checks = 1 + fits + (fits and is_prime_power(q))
                 expected.append(f"q={q} count={count_at(system, q)} ok ({checks} checks)")
             assert capsys.readouterr().out.splitlines() == expected, (name, max_enum)
+
+    def test_corpus_verify_and_table_output_is_pinned(self, capsys):
+        from conftest import CORPUS_TEXTS
+
+        # every "(N checks)" line of verify and every table row, byte for byte
+        digest = hashlib.sha256()
+        for text in CORPUS_TEXTS.values():
+            for argv in (["verify", "--q-range", "2:16", "--text", text], ["table", "--text", text]):
+                code = main(argv)
+                digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+        assert digest.hexdigest() == (
+            "58c9ea0bdb28eff28741d3f9c1eae7d019e3615b93de594304983361b80a96d3"
+        )
 
     def test_large_prime_q_skips_the_field_oracle_unfactored(self, capsys, monkeypatch):
         import porcfield.ffield as ffield_mod

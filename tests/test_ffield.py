@@ -1,7 +1,7 @@
 """Finite-field construction and the two brute-force counting oracles."""
 
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +20,7 @@ from porcfield import (
     split_prime_power,
     synthesize_counting_function,
 )
+from porcfield._gfpoly import gf_divmod, gf_mul, gf_pow_mod
 from porcfield.cli import main
 from porcfield.system import EQ
 
@@ -76,8 +77,9 @@ class TestMakeField:
             make_field(4, 1)
 
     def test_scale_cap(self):
-        with pytest.raises(ScaleCapError):
+        with pytest.raises(ScaleCapError) as info:
             make_field(2, 21)
+        assert str(info.value) == "field order 2097152 exceeds MAX_FIELD_ORDER = 1000000"
 
     def test_no_irreducible_modulus_is_consistency_error(self, monkeypatch):
         monkeypatch.setattr(ffield, "gf_is_irreducible", lambda a, p: False)
@@ -88,6 +90,23 @@ class TestMakeField:
         f = make_field(7, 1)
         assert f.mul((3,), (5,)) == (1,)
         assert f.inverse((3,)) == (5,)
+
+    @pytest.mark.parametrize(
+        "p,n,modulus,generator",
+        [
+            (2, 2, (1, 1, 1), (0, 1)),
+            (3, 2, (1, 0, 1), (1, 1)),
+            (2, 4, (1, 1, 0, 0, 1), (0, 0, 1, 0)),
+            (5, 2, (2, 0, 1), (1, 1)),
+            (2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1), (0, 0, 0, 0, 0, 0, 1, 1)),
+        ],
+    )
+    def test_modulus_and_generator(self, p, n, modulus, generator):
+        # the first generator in element order; the power tables index by its logs
+        field = make_field(p, n)
+        assert field.modulus == modulus
+        logs = ffield._discrete_logs(field)
+        assert next(islice(logs, 1, None)) == generator
 
 
 class TestFieldArithmetic:
@@ -115,6 +134,24 @@ class TestFieldArithmetic:
         for el in field.nonzero_elements():
             assert field.mul(el, field.inverse(el)) == field.one
 
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.data())
+    def test_mul_and_pow_match_polynomial_division(self, data):
+        # the folded product against the remainder of the long division
+        p, n = data.draw(st.sampled_from([(2, 1), (2, 8), (3, 5), (5, 2), (7, 3), (997, 2)]))
+        field = make_field(p, n)
+        element = st.tuples(*[st.integers(0, p - 1)] * n)
+        a, b = data.draw(element), data.draw(element)
+        mod = list(field.modulus)
+
+        def pad(coeffs):
+            return tuple(coeffs) + (0,) * (n - len(coeffs))
+
+        assert field.mul(a, b) == pad(gf_divmod(gf_mul(list(a), list(b), p), mod, p)[1])
+        if a != field.zero:
+            e = data.draw(st.integers(-(field.order**2), field.order**2))
+            assert field.pow(a, e) == pad(gf_pow_mod(list(a), e % (field.order - 1), mod, p))
+
     def test_negative_exponents_reduce_into_group(self):
         field = make_field(5, 2)
         for el in field.nonzero_elements()[:6]:
@@ -137,6 +174,37 @@ class TestSplitPrimePower:
         for q in (1, 6, 12, 100, (10**9 + 7) * 998244353):
             with pytest.raises(ValueError):
                 split_prime_power(q)
+
+
+class TestPowerTable:
+    def test_walk_that_leaves_the_group_is_consistency_error(self, monkeypatch):
+        field = make_field(3, 2)
+        logs = ffield._discrete_logs(field)
+        g = next(islice(logs, 1, None))
+        # a product that comes out as zero: the walk's second element has no log
+        monkeypatch.setattr(ffield.FieldContext, "mul", lambda self, a, b: self.zero)
+        with pytest.raises(ConsistencyError, match="has no log"):
+            ffield._power_table(field, logs, g, 2)
+
+    def test_walk_that_never_closes_stops_within_the_group_order(self, monkeypatch):
+        field = make_field(5, 2)
+        logs = ffield._discrete_logs(field)
+        g = next(islice(logs, 1, None))
+        true_mul = ffield.FieldContext.mul
+        calls = []
+
+        # where the product should be one it comes out as b, so the walk of
+        # h = g^3 falls back onto h and cycles without returning to one
+        def never_one(self, a, b):
+            calls.append(1)
+            value = true_mul(self, a, b)
+            return b if value == self.one else value
+
+        monkeypatch.setattr(ffield.FieldContext, "mul", never_one)
+        with pytest.raises(ConsistencyError, match="did not close within 24 steps"):
+            ffield._power_table(field, logs, g, 3)
+        # the walk's 24 products and at most two per bit of 3 for h
+        assert len(calls) <= 24 + 4
 
 
 class TestBruteForce:
@@ -256,7 +324,6 @@ linear_exponents = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(IntPoly
 
 def test_field_oracle_reads_literal_products(corpus, monkeypatch):
     system = corpus["quadratic"]
-    expected = exponent_space_count(system, 3)
     true_mul = ffield.FieldContext.mul
 
     # a product that ignores its right operand: no orbit reaches every element
@@ -264,15 +331,16 @@ def test_field_oracle_reads_literal_products(corpus, monkeypatch):
     with pytest.raises(ConsistencyError, match="no generator"):
         brute_force_count(system, 3)
 
-    # a product that comes out as b where it should be one: every orbit still
-    # stops at its first repeat, so the generator search is unharmed, but the
-    # walk of a power that is no generator leaves its cycle
+    # a product that comes out as b where it should be one: the order test
+    # reads t^4 as -1 instead of 1 and passes t, whose orbit then falls back
+    # onto t after four elements instead of eight
     def wrong_at_one(self, a, b):
         value = true_mul(self, a, b)
         return b if value == self.one else value
 
     monkeypatch.setattr(ffield.FieldContext, "mul", wrong_at_one)
-    assert brute_force_count(system, 3) != expected
+    with pytest.raises(ConsistencyError):
+        brute_force_count(system, 3)
 
 
 # the literal-product reference is slow; every case below covers at most this many tuples
