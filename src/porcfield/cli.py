@@ -57,11 +57,6 @@ def _cap(text: str) -> int:
     return value
 
 
-def _add_max_neq(sub):
-    sub.add_argument("--max-neq", type=_cap, default=20,
-                     help="inclusion-exclusion cap on inequations")
-
-
 def build_parser() -> argparse.ArgumentParser:
     root = _ArgumentParser(prog="porcfield")
     subs = root.add_subparsers(dest="command", required=True)
@@ -69,13 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("synthesize", help="closed-form counting function")
     _add_input_args(s)
     _add_format(s)
-    _add_max_neq(s)
     s.set_defaults(func=_cmd_synthesize)
 
     s = subs.add_parser("count", help="solution count at one q")
     _add_input_args(s)
     _add_format(s)
-    _add_max_neq(s)
     s.add_argument("--q", type=int, required=True)
     s.set_defaults(func=_cmd_count)
 
@@ -87,12 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("table", help="residue-class polynomial table")
     _add_input_args(s)
     _add_format(s)
-    _add_max_neq(s)
     s.set_defaults(func=_cmd_table)
 
     s = subs.add_parser("verify", help="cross-check counts against the oracles")
     _add_input_args(s)
-    _add_max_neq(s)
     s.add_argument("--max-enum", type=_cap, default=10**6,
                    help="cap on enumerated oracle tuples")
     s.add_argument("--q-range", default="2:9", help="inclusive lo:hi range of q values")
@@ -125,7 +116,7 @@ def _print_json(obj) -> None:
 
 def _cmd_synthesize(args) -> int:
     system = parse_system(_read_source(args))
-    cf = synthesize_counting_function(system, max_inequations=args.max_neq)
+    cf = synthesize_counting_function(system)
     if args.format == "json":
         _print_json(counting_function_to_dict(cf))
     else:
@@ -135,7 +126,7 @@ def _cmd_synthesize(args) -> int:
 
 def _cmd_count(args) -> int:
     system = parse_system(_read_source(args))
-    value = count_at(system, args.q, max_inequations=args.max_neq)
+    value = count_at(system, args.q)
     if args.format == "json":
         _print_json({"q": args.q, "count": value})
     else:
@@ -167,7 +158,7 @@ def _cmd_gcd_porc(args) -> int:
 
 def _cmd_table(args) -> int:
     system = parse_system(_read_source(args))
-    cf = synthesize_counting_function(system, max_inequations=args.max_neq)
+    cf = synthesize_counting_function(system)
     modulus, polys = porc_to_residue_table(cf)
     if args.format == "json":
         _print_json(table_to_dict(modulus, polys))
@@ -192,10 +183,10 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _cmd_verify(args) -> int:
     system = parse_system(_read_source(args))
     lo, hi = _parse_range(args.q_range)
-    cf = synthesize_counting_function(system, max_inequations=args.max_neq)
+    cf = synthesize_counting_function(system)
     mismatches = 0
     for q0 in range(lo, hi + 1):
-        expected = count_at(system, q0, max_inequations=args.max_neq)
+        expected = count_at(system, q0)
         readings = {"closed-form": counting_eval(cf, q0)}
         try:
             readings["exponent-oracle"] = exponent_space_count(

@@ -204,8 +204,6 @@ def synthesize_gcd_function(fs, fold: tuple[IntPoly, int] | None = None) -> GcdP
     A caller that has already folded the family passes its (f, m) as fold.
     """
     f, m0 = _gcd_fold(fs) if fold is None else fold
-    if m0 == 1:
-        return GcdPorcFunction(f=f, d=PORC_ONE, m=1)
     return _synthesize_factored(fs, f, m0)
 
 

@@ -8,12 +8,15 @@ equation system, obtained from the elementary divisors of its relation
 matrix, and symbolically from the gcd of the matrix's maximal minors.  Every
 subset's matrix is a selection of rows of one full matrix (the equations,
 every inequation and the membership rows): count_at evaluates that matrix
-once per q, and the synthesis expands it into maximal minors once.
+once per q, and the synthesis expands it into maximal minors once.  Before
+either builds the matrix, the work the subsets ask for is computed from the
+system's shape and checked against WORK_BUDGET.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 from ._record import Record
 from .errors import ConsistencyError, ScaleCapError
@@ -22,8 +25,9 @@ from .porc import GcdPorcFunction, _gcd_fold, porc_eval, synthesize_gcd_function
 from .relmat import build_relation_matrix, evaluate_matrix, maximal_minors
 from .snf import divisor_product, smith_normal_form
 
-#: Default bound on inequations before inclusion-exclusion is refused.
-DEFAULT_MAX_INEQUATIONS = 20
+#: Most family members, summed over the inclusion-exclusion subsets, that a
+#: system may ask for: the slowest accepted shapes synthesize within a minute.
+WORK_BUDGET = 10**6
 
 EQ = "eq"
 NEQ = "neq"
@@ -107,7 +111,7 @@ class CountingFunction(Record):
         return self.render()
 
 
-def _inclusion_exclusion(system: MonomialSystem, max_inequations: int):
+def _inclusion_exclusion(system: MonomialSystem):
     """The system's full relation matrix and its inclusion-exclusion subsets.
 
     The matrix's rows are the equations, every inequation and the k
@@ -115,18 +119,28 @@ def _inclusion_exclusion(system: MonomialSystem, max_inequations: int):
     order over the inequations, each as (sign, rows): rows are the sorted
     indices of the equations, the subset's inequations and the membership
     rows, so selecting them gives the subset's own relation matrix.
+
+    A subset with j of the s inequations has e + j + k rows, so its family
+    has C(e+j+k, k) maximal minors.  Their sum over the subsets,
+    W = sum_j C(s, j)*C(e+j+k, k), is at least 2^s, the number of Smith
+    normal forms count_at takes.  W above WORK_BUDGET raises ScaleCapError
+    before any matrix is built.  W is summed in the form
+    sum_i C(s, i)*C(e+k, k-i)*2^(s-i), i <= min(s, k) (Vandermonde's
+    identity on C(e+j+k, k)), whose few terms stay cheap for any s.
     """
-    neqs = system.inequations
-    if len(neqs) > max_inequations:
+    eqs, neqs = system.equations, system.inequations
+    e, s, k = len(eqs), len(neqs), system.k
+    work = sum(comb(s, i) * comb(e + k, k - i) * 2 ** (s - i) for i in range(min(s, k) + 1))
+    if work > WORK_BUDGET:
+        # Python refuses to convert an int of over 4300 digits to decimal
+        shown = work if work.bit_length() <= 64 else f"at least 2^{work.bit_length() - 1}"
         raise ScaleCapError(
-            f"inclusion-exclusion blow-up: {len(neqs)} inequations exceed the cap "
-            f"{max_inequations}"
+            f"inclusion-exclusion blow-up: {shown} family members (k={k}, e={e}, s={s}) "
+            f"exceed WORK_BUDGET = {WORK_BUDGET}"
         )
-    eqs = system.equations
-    e, s = len(eqs), len(neqs)
-    matrix = build_relation_matrix([r.exponents for r in eqs + neqs], system.k, system.n)
+    matrix = build_relation_matrix([r.exponents for r in eqs + neqs], k, system.n)
     equations = tuple(range(e))
-    membership = tuple(range(e + s, e + s + system.k))
+    membership = tuple(range(e + s, e + s + k))
 
     def subsets():
         for mask in range(1 << s):
@@ -137,13 +151,11 @@ def _inclusion_exclusion(system: MonomialSystem, max_inequations: int):
     return matrix, subsets()
 
 
-def count_at(
-    system: MonomialSystem, q0: int, *, max_inequations: int = DEFAULT_MAX_INEQUATIONS
-) -> int:
-    """Number of solutions at the concrete q0, via elementary divisors."""
+def count_at(system: MonomialSystem, q0: int) -> int:
+    """Number of solutions at the concrete q0: one Smith normal form per subset."""
     if q0 < 2:
         raise ValueError("q must be at least 2")
-    matrix, subsets = _inclusion_exclusion(system, max_inequations)
+    matrix, subsets = _inclusion_exclusion(system)
     evaluated = evaluate_matrix(matrix, q0)
     total = 0
     for sign, rows in subsets:
@@ -156,9 +168,7 @@ def count_at(
     return total
 
 
-def synthesize_counting_function(
-    system: MonomialSystem, *, max_inequations: int = DEFAULT_MAX_INEQUATIONS
-) -> CountingFunction:
+def synthesize_counting_function(system: MonomialSystem) -> CountingFunction:
     """Closed PORC form of q -> count_at(system, q).
 
     One signed term per inequation subset, in ascending bitmask order; each
@@ -171,7 +181,7 @@ def synthesize_counting_function(
     minors that use its new row.
     """
     e, k = len(system.equations), system.k
-    matrix, subsets = _inclusion_exclusion(system, max_inequations)
+    matrix, subsets = _inclusion_exclusion(system)
     table = dict(zip(combinations(range(len(matrix.rows)), k), maximal_minors(matrix)))
     folds: list[tuple[IntPoly, int]] = []  # fold state per mask
     terms = []

@@ -237,6 +237,15 @@ class TestExitCodes:
         assert main(["count", "--text", text, "--q", "3"]) == 2
         assert "blow-up" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["synthesize", "count", "table", "verify"])
+    def test_work_budget_is_2(self, command, capsys):
+        text = "field GF(q^1); vars x; " + "".join(f"neq x^{i + 2} = 1;" for i in range(21))
+        extra = ["--q", "3"] if command == "count" else []
+        assert main([command, "--text", text, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "24117248 family members (k=1, e=0, s=21) exceed WORK_BUDGET" in captured.err
+
     def test_porc_size_cap_is_2(self, capsys, monkeypatch):
         import porcfield.porc as porc_mod
 
@@ -292,8 +301,6 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["synthesize", "--text", "field GF(q^1); vars x", "--max-neq", "-1"],
-            ["verify", "--text", "field GF(q^1); vars x", "--max-neq", "-1"],
             ["verify", "--text", "field GF(q^1); vars x", "--max-enum", "-5"],
         ],
     )
@@ -371,16 +378,16 @@ class TestOptions:
         ("table", "--max-enum", "5"),
         ("gcd-porc", "--max-neq", "5"),
         ("verify", "--format", "json"),
+        ("synthesize", "--max-neq", "5"),
+        ("count", "--max-neq", "5"),
+        ("table", "--max-neq", "5"),
+        ("verify", "--max-neq", "5"),
     ]
     KEPT = [
         ("synthesize", "--format", "json"),
-        ("synthesize", "--max-neq", "5"),
         ("count", "--format", "json"),
-        ("count", "--max-neq", "5"),
         ("gcd-porc", "--format", "json"),
         ("table", "--format", "json"),
-        ("table", "--max-neq", "5"),
-        ("verify", "--max-neq", "5"),
         ("verify", "--max-enum", "5"),
     ]
 

@@ -1,6 +1,7 @@
 """Monomial systems: parsing, counting, synthesis, inclusion-exclusion."""
 
 import random
+import re
 from math import comb
 
 import pytest
@@ -132,12 +133,21 @@ class TestCountAt:
         with pytest.raises(ValueError):
             count_at(quadratic_system, 1)
 
-    def test_inclusion_exclusion_cap(self):
-        neqs = [(1,)] * 21
-        system = make_system(1, 1, neqs=neqs)
-        with pytest.raises(ScaleCapError, match="blow-up"):
+    def test_inclusion_exclusion_cap(self, monkeypatch):
+        # k = 1, e = 0, s = 21: sum_j C(21, j)*(j + 1) = 2^21 + 21*2^20 family members
+        system = make_system(1, 1, neqs=[(1,)] * 21)
+        with pytest.raises(ScaleCapError, match="blow-up: 24117248 family members"):
             count_at(system, 3)
-        assert count_at(make_system(1, 1, neqs=[(1,)] * 3), 3, max_inequations=3) >= 0
+        # s = 3: 2^3 + 3*2^2 = 20 family members, exactly at the budget
+        monkeypatch.setattr(system_mod, "WORK_BUDGET", 20)
+        assert count_at(make_system(1, 1, neqs=[(1,)] * 3), 3) >= 0
+
+    def test_huge_work_is_refused_in_few_digits(self):
+        # W = (s/2 + 1)*2^s has over 4300 digits, more than int to str converts
+        system = make_system(1, 1, neqs=[(1,)] * 16000)
+        refused = r"blow-up: at least 2\^16012 family members \(k=1, e=0, s=16000\)"
+        with pytest.raises(ScaleCapError, match=refused):
+            count_at(system, 3)
 
 
 class TestSynthesize:
@@ -320,9 +330,9 @@ def _calls(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
 
-    def recorded(*args):
+    def recorded(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, recorded)
     return calls
@@ -352,14 +362,58 @@ def test_count_at_builds_and_evaluates_one_matrix_per_call(monkeypatch):
         assert (len(built), len(evaluated), len(snfs)) == (calls, calls, 8 * calls)
 
 
-def test_inequation_cap_comes_before_the_subset_limit(monkeypatch):
+# THREE_NEQS asks for C(3, 2) + 3*C(4, 2) + 3*C(5, 2) + C(6, 2) family members
+THREE_NEQS_WORK = 66
+RUNS = {
+    "synthesize": synthesize_counting_function,
+    "count_at": lambda system: count_at(system, 3),
+}
+
+
+def test_work_budget_comes_before_the_subset_limit(monkeypatch):
     monkeypatch.setattr(relmat, "SUBSET_LIMIT", 1)
-    for run in (
-        lambda: synthesize_counting_function(THREE_NEQS, max_inequations=2),
-        lambda: count_at(THREE_NEQS, 3, max_inequations=2),
-    ):
-        with pytest.raises(ScaleCapError, match="blow-up: 3 inequations exceed the cap 2"):
-            run()
+    monkeypatch.setattr(system_mod, "WORK_BUDGET", THREE_NEQS_WORK - 1)
+    for run in RUNS.values():
+        with pytest.raises(ScaleCapError, match="blow-up: 66 family members .* exceed WORK_BUDGET"):
+            run(THREE_NEQS)
+
+
+@pytest.mark.parametrize("run", RUNS.values(), ids=RUNS)
+def test_work_budget_boundary_is_checked_before_any_matrix(run, monkeypatch):
+    monkeypatch.setattr(system_mod, "WORK_BUDGET", THREE_NEQS_WORK)
+    run(THREE_NEQS)
+    monkeypatch.setattr(system_mod, "WORK_BUDGET", THREE_NEQS_WORK - 1)
+    stages = ("build_relation_matrix", "maximal_minors", "_gcd_fold", "smith_normal_form")
+    calls = {name: _calls(monkeypatch, system_mod, name) for name in stages}
+    refused = r"blow-up: 66 family members \(k=2, e=1, s=3\) exceed WORK_BUDGET = 65$"
+    with pytest.raises(ScaleCapError, match=refused):
+        run(THREE_NEQS)
+    assert calls == {name: [] for name in stages}
+
+
+@st.composite
+def budget_shapes(draw):
+    k = draw(st.integers(1, 4))
+    rows = st.tuples(*[exponents] * k)
+    return k, draw(st.lists(rows, max_size=2)), draw(st.lists(rows, max_size=6))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(budget_shapes())
+def test_work_is_the_sum_of_the_family_sizes(drawn):
+    # the W that a refusal reports equals the members the synthesis hands on
+    k, eqs, neqs = drawn
+    system = make_system(k, 2, eqs=eqs, neqs=neqs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(system_mod, "WORK_BUDGET", 0)
+        with pytest.raises(ScaleCapError) as refusal:
+            synthesize_counting_function(system)
+    work = int(re.search(r"blow-up: (\d+) family members", str(refusal.value))[1])
+    with pytest.MonkeyPatch.context() as patch:
+        families = _calls(patch, system_mod, "synthesize_gcd_function")
+        synthesize_counting_function(system)
+    assert len(families) == 1 << len(neqs)
+    assert work == sum(len(args[0]) for args in families)
 
 
 def test_subset_limit_is_hit_before_any_fold(monkeypatch):
