@@ -11,14 +11,13 @@ The field oracle multiplies with ``FieldContext.mul``: the schoolbook
 product of two coefficient tuples, its high coefficients folded back with
 the rows t^(n+j) mod the modulus and reduced mod p once; ``pow`` is square
 and multiply on it.  The generator g is the first element whose order is
-the group order, and each power table walks the cycle of g^beta once, one
-literal multiplication per element, and repeats it to the group order.
-One unknown per tuple is then resolved by a lookup in the table that
-prunes most, and the rest of the relations are checked on the elements
-that lookup returns.  From ``_gfpoly`` it takes only ``gf_is_irreducible``,
-which picks the modulus, and ``factorize``, for primality and the prime
-factors of the group order.  ``count_at`` and the exponent oracle use none
-of this arithmetic.
+the group order, and the cycle of g^beta is walked once, one literal
+multiplication per element, and read modulo its length.  One unknown per
+tuple is then resolved by a lookup in the longest cycle, and the rest of
+the relations are checked on the elements that lookup returns.  From
+``_gfpoly`` it takes only ``gf_is_irreducible``, which picks the modulus,
+and ``factorize``, for primality and the prime factors of the group order.
+``count_at`` and the exponent oracle use none of this arithmetic.
 """
 
 from __future__ import annotations
@@ -26,14 +25,14 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from itertools import islice, product
 from math import gcd
-from operator import getitem, ne
+from operator import ne
 
 from ._gfpoly import factorize, gf_is_irreducible
 from .errors import ConsistencyError, ScaleCapError
 from .system import EQ, MonomialSystem
 
-#: Default cap on enumerated tuples.
-DEFAULT_MAX_TUPLES = 10**6
+#: Cap on the tuples either oracle enumerates.
+MAX_TUPLES = 10**6
 
 #: Cap on the field order itself.
 MAX_FIELD_ORDER = 10**6
@@ -131,27 +130,37 @@ def make_field(p: int, n: int) -> FieldContext:
     raise ConsistencyError(f"no irreducible polynomial of degree {n} over GF({p}) found")
 
 
-def _discrete_logs(field: FieldContext) -> dict:
-    """{element: log} to the base of the first generator of the multiplicative group.
+def _position(p: int, a) -> int:
+    """a's index in ``FieldContext.elements()``: its coefficients as base-p digits."""
+    index = 0
+    for c in a:
+        index = index * p + c
+    return index
 
-    A candidate c generates the group of order N = p^n - 1 exactly when
-    c^(N/r) != 1 for every prime r dividing N (Lidl and Niederreiter,
-    *Finite Fields*); candidates that fail are skipped.  The orbit of the
-    first one left is then walked from one by literal multiplication up to
-    its first repeat.  A generator's orbit holds all N nonzero elements; a
-    reducible modulus can also give an orbit of that length through zero.
+
+def _discrete_logs(field: FieldContext) -> tuple[tuple[int, ...], list]:
+    """(g, logs) for the first generator g of the multiplicative group.
+
+    logs[i] is the log to the base g of the element at index i of
+    ``field.elements()`` (``_position``), and None for zero.  A candidate c
+    generates the group of order N = p^n - 1 exactly when c^(N/r) != 1 for
+    every prime r dividing N (Lidl and Niederreiter, *Finite Fields*);
+    candidates that fail are skipped.  The orbit of the first one left is
+    then walked from one by literal multiplication up to its first repeat.
+    A generator's orbit holds all N nonzero elements; a reducible modulus
+    can also give an orbit of that length through zero.
     """
     group = field.order - 1
     cofactors = [group // r for r in factorize(group)]
     for candidate in islice(field.elements(), 1, None):  # elements() yields zero first
         if all(field.pow(candidate, c) != field.one for c in cofactors):
-            logs = {}
-            x = field.one
-            while x not in logs:
-                logs[x] = len(logs)
-                x = field.mul(x, candidate)
-            if len(logs) == group and field.zero not in logs:
-                return logs
+            logs = [None] * field.order
+            x, log = field.one, 0
+            while logs[i := _position(field.p, x)] is None:
+                logs[i] = log
+                x, log = field.mul(x, candidate), log + 1
+            if log == group and logs[0] is None:
+                return candidate, logs
             break
     raise ConsistencyError(
         f"no generator of the multiplicative group of GF({field.p}^{field.n}) "
@@ -159,21 +168,21 @@ def _discrete_logs(field: FieldContext) -> dict:
     )
 
 
-def _power_table(field: FieldContext, logs: dict, g, beta: int) -> list[int]:
-    """[log((g^i)^beta) for i in range(p^n - 1)], walking the cycle of h = g^beta.
+def _power_cycle(field: FieldContext, logs: list, g, beta: int) -> list[int]:
+    """[log(h^i) for i in range(L)], the cycle of h = g^beta of length L.
 
     h is one literal ``field.pow``; each further element of its cycle is one
-    literal ``field.mul`` by h, since (g^i)^beta = h^i, until the walk is
-    back at one.  The table is that cycle repeated N / len(cycle) times.  A
-    walk that leaves the logs, does not close within N steps or closes on a
+    literal ``field.mul`` by h, until the walk is back at one.  Since
+    (g^i)^beta = h^i, entry i mod L is the log of (g^i)^beta.  A walk that
+    leaves the logs, does not close within N = p^n - 1 steps or closes on a
     length that does not divide N is a faulty product.
     """
-    group = len(logs)
+    group = field.order - 1
     h = field.pow(g, beta)
     cycle = []
     y = field.one
     for _ in range(group):
-        log = logs.get(y)
+        log = logs[_position(field.p, y)]
         if log is None:
             raise ConsistencyError(f"the walk of g^{beta} reached {y}, which has no log")
         cycle.append(log)
@@ -187,57 +196,55 @@ def _power_table(field: FieldContext, logs: dict, g, beta: int) -> list[int]:
             f"the walk of g^{beta} closed after {len(cycle)} steps, "
             f"which does not divide {group}"
         )
-    return cycle * (group // len(cycle))
+    return cycle
 
 
-def brute_force_count(
-    system: MonomialSystem, q0: int, *, max_tuples: int = DEFAULT_MAX_TUPLES
-) -> int:
+def _log_sum(cycles, combo) -> int:
+    """The sum of the logs the cycles give the elements at the positions in combo."""
+    return sum([cycle[x % len(cycle)] for cycle, x in zip(cycles, combo)])
+
+
+def brute_force_count(system: MonomialSystem, q0: int) -> int:
     """Count solutions by enumerating tuples of nonzero field elements.
 
     q0 must be a prime power p^e; the field GF(q0^n) is built as
     GF(p^(e*n)) and exponent polynomials are evaluated at q0.  Element i of
-    each unknown is g^i for the generator g that ``_discrete_logs`` finds.
-    The power tables hold the discrete logs of literal field powers: one
-    table per distinct exponent beta, built by walking the cycle of g^beta
-    once, one field multiplication per element of the cycle, and repeating
-    it to q0^n - 1 entries.  A product of table entries
-    is 1 exactly when the sum of their logs is 0 mod q0^n - 1 (the
-    multiplicative group is cyclic).
+    each unknown is g^i for the generator g that ``_discrete_logs`` finds,
+    and its power to beta has the log at i mod L in the cycle of g^beta,
+    L long, that ``_power_cycle`` walks once per distinct beta.  A product
+    of powers is 1 exactly when the sum of their logs is 0 mod
+    N = q0^n - 1 (the multiplicative group is cyclic).
 
     One unknown is resolved by lookup: of all (equation, unknown) pairs,
-    the one whose table leaves the fewest candidates (the smallest sum of
-    squared bucket sizes) is indexed from log value to positions.  The
-    other k - 1 unknowns are enumerated, the positions that satisfy that
-    equation are read from the index, and the remaining relations are
-    checked on those positions only.  Without an equation the trivial one,
-    1 = 1, admits every position of the last unknown, so every tuple is
-    enumerated.  The tuple cap is checked before q0 is factored, and a
-    system without relations builds no field.
+    the one with the longest cycle leaves the fewest candidates, since
+    each of its logs recurs N/L times.  Its cycle is indexed from log to
+    cycle position, the other k - 1 unknowns are enumerated, and the
+    remaining relations are checked only at every L-th position from the
+    one the index gives.  Without an equation the trivial one, 1 = 1,
+    admits every position of the last unknown.  ``MAX_TUPLES`` is checked
+    before q0 is factored, and a system without relations builds no field.
     """
     group = q0**system.n - 1
-    if group**system.k > max_tuples:
+    if group**system.k > MAX_TUPLES:
         raise ScaleCapError(
-            f"{group}^{system.k} field tuples exceed the cap {max_tuples}"
+            f"{group}^{system.k} field tuples exceed MAX_TUPLES = {MAX_TUPLES}"
         )
     k = system.k
     p, e = split_prime_power(q0)
-    checks = []  # (want_eq, one power table per unknown) per relation
+    checks = []  # (want_eq, one power cycle per unknown) per relation
     if system.relations:  # with no relation, nothing reads the field
         field = make_field(p, e * system.n)
-        logs = _discrete_logs(field)
-        # insertion order is g^0, g^1, ...; in GF(2) the group is {1}, generated by 1
-        g = next(islice(logs, 1 % group, None))
-        tables = {}  # beta -> its power table, built once
+        g, logs = _discrete_logs(field)
+        cycles = {}  # beta -> its power cycle, walked once
         for rel in system.relations:
             betas = [poly(q0) % group for poly in rel.exponents]
             for beta in betas:
-                if beta not in tables:
-                    tables[beta] = _power_table(field, logs, g, beta)
-            checks.append((rel.kind == EQ, [tables[beta] for beta in betas]))
-    # (candidates the lookups in a table leave, equation, unknown)
+                if beta not in cycles:
+                    cycles[beta] = _power_cycle(field, logs, g, beta)
+            checks.append((rel.kind == EQ, [cycles[beta] for beta in betas]))
+    # (minus the cycle length, equation, unknown): the longest cycle prunes most
     pairs = [
-        (sum(c * c for c in Counter(row[j]).values()), r, j)
+        (-len(row[j]), r, j)
         for r, (want_eq, row) in enumerate(checks)
         if want_eq
         for j in range(k)
@@ -246,33 +253,28 @@ def brute_force_count(
         _, r, j = min(pairs)
         pivot = checks.pop(r)[1]
     else:  # the trivial equation 1 = 1: every log is 0
-        j, pivot = k - 1, [[0] * group] * k
-    positions = defaultdict(list)
-    for x, value in enumerate(pivot[j]):
-        positions[value].append(x)
+        j, pivot = k - 1, [[0]] * k
+    step = len(pivot[j])
+    where = {log: x for x, log in enumerate(pivot[j])}
     others = [i for i in range(k) if i != j]
     pivot_others = [pivot[i] for i in others]
     rest = [(want_eq, [row[i] for i in others], row[j]) for want_eq, row in checks]
     count = 0
     for combo in product(range(group), repeat=k - 1):
-        hits = positions.get(-sum(map(getitem, pivot_others, combo)) % group)
-        if not hits:
+        start = where.get(-_log_sum(pivot_others, combo) % group)
+        if start is None:
             continue
-        partial = [
-            (want_eq, sum(map(getitem, row, combo)), last) for want_eq, row, last in rest
-        ]
-        for x in hits:
+        partial = [(want_eq, _log_sum(row, combo), last) for want_eq, row, last in rest]
+        for x in range(start, group, step):
             for want_eq, total, last in partial:
-                if ((total + last[x]) % group == 0) != want_eq:
+                if ((total + last[x % len(last)]) % group == 0) != want_eq:
                     break
             else:
                 count += 1
     return count
 
 
-def exponent_space_count(
-    system: MonomialSystem, q0: int, *, max_tuples: int = DEFAULT_MAX_TUPLES
-) -> int:
+def exponent_space_count(system: MonomialSystem, q0: int) -> int:
     """Count exponent tuples in Z_(q0^n - 1)^k solving the linear congruences.
 
     Equations demand sum(beta_i * m_i) = 0 mod q0^n - 1, inequations demand
@@ -282,15 +284,15 @@ def exponent_space_count(
     vectors, one residue per relation, over the first k//2 unknowns and one
     over the rest, each folded one unknown at a time.  A pair of vectors
     solves the system when their sum is zero in every equation coordinate
-    and nonzero in every inequation coordinate.  The cap still counts the
-    (q0^n - 1)^k tuples this covers, not histogram entries.
+    and nonzero in every inequation coordinate.  ``MAX_TUPLES`` still counts
+    the (q0^n - 1)^k tuples this covers, not histogram entries.
     """
     if q0 < 2:
         raise ValueError("q must be at least 2")
     modulus = q0**system.n - 1
-    if modulus**system.k > max_tuples:
+    if modulus**system.k > MAX_TUPLES:
         raise ScaleCapError(
-            f"{modulus}^{system.k} exponent tuples exceed the cap {max_tuples}"
+            f"{modulus}^{system.k} exponent tuples exceed MAX_TUPLES = {MAX_TUPLES}"
         )
     # equations first, so each residue vector starts with its equation coordinates
     relations = sorted(system.relations, key=lambda rel: rel.kind != EQ)

@@ -1,7 +1,13 @@
 """Finite-field construction and the two brute-force counting oracles."""
 
+import os
 import random
-from itertools import islice, product
+import subprocess
+import sys
+from itertools import product
+from math import gcd
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,11 +108,12 @@ class TestMakeField:
         ],
     )
     def test_modulus_and_generator(self, p, n, modulus, generator):
-        # the first generator in element order; the power tables index by its logs
+        # the first generator in element order; the power cycles index by its logs
         field = make_field(p, n)
         assert field.modulus == modulus
-        logs = ffield._discrete_logs(field)
-        assert next(islice(logs, 1, None)) == generator
+        g, logs = ffield._discrete_logs(field)
+        assert g == generator
+        assert logs[ffield._position(p, generator)] == 1
 
 
 class TestFieldArithmetic:
@@ -179,17 +186,15 @@ class TestSplitPrimePower:
 class TestPowerTable:
     def test_walk_that_leaves_the_group_is_consistency_error(self, monkeypatch):
         field = make_field(3, 2)
-        logs = ffield._discrete_logs(field)
-        g = next(islice(logs, 1, None))
+        g, logs = ffield._discrete_logs(field)
         # a product that comes out as zero: the walk's second element has no log
         monkeypatch.setattr(ffield.FieldContext, "mul", lambda self, a, b: self.zero)
         with pytest.raises(ConsistencyError, match="has no log"):
-            ffield._power_table(field, logs, g, 2)
+            ffield._power_cycle(field, logs, g, 2)
 
     def test_walk_that_never_closes_stops_within_the_group_order(self, monkeypatch):
         field = make_field(5, 2)
-        logs = ffield._discrete_logs(field)
-        g = next(islice(logs, 1, None))
+        g, logs = ffield._discrete_logs(field)
         true_mul = ffield.FieldContext.mul
         calls = []
 
@@ -202,9 +207,28 @@ class TestPowerTable:
 
         monkeypatch.setattr(ffield.FieldContext, "mul", never_one)
         with pytest.raises(ConsistencyError, match="did not close within 24 steps"):
-            ffield._power_table(field, logs, g, 3)
+            ffield._power_cycle(field, logs, g, 3)
         # the walk's 24 products and at most two per bit of 3 for h
         assert len(calls) <= 24 + 4
+
+    def test_every_cycle_follows_the_exponent_rule(self):
+        # in each field of order up to 256 the literal walk of h = g^beta is
+        # N / gcd(N, beta) long, and its entry i is the log i * beta mod N
+        fields = [
+            (p, n)
+            for p in range(2, 257)
+            if all(p % d for d in range(2, p))
+            for n in range(1, 9)
+            if p**n <= 256
+        ]
+        for p, n in fields:
+            field = make_field(p, n)
+            group = field.order - 1
+            g, logs = ffield._discrete_logs(field)
+            for beta in range(group):
+                cycle = ffield._power_cycle(field, logs, g, beta)
+                assert len(cycle) == group // gcd(group, beta), (p, n, beta)
+                assert cycle == [i * beta % group for i in range(len(cycle))], (p, n, beta)
 
 
 class TestBruteForce:
@@ -222,9 +246,19 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_count(quadratic_system, 6)
 
-    def test_tuple_cap(self, quadratic_system):
+    def test_tuple_cap(self, quadratic_system, monkeypatch):
+        monkeypatch.setattr(ffield, "MAX_TUPLES", 100)
         with pytest.raises(ScaleCapError):
-            brute_force_count(quadratic_system, 9, max_tuples=100)
+            brute_force_count(quadratic_system, 9)
+
+    def test_tuple_cap_boundary(self, quadratic_system, monkeypatch):
+        # the cap admits exactly the 8^2 tuples of GF(9)* x GF(9)* at q = 3, n = 2
+        monkeypatch.setattr(ffield, "MAX_TUPLES", 64)
+        assert brute_force_count(quadratic_system, 3) == 12
+        monkeypatch.setattr(ffield, "MAX_TUPLES", 63)
+        with pytest.raises(ScaleCapError) as info:
+            brute_force_count(quadratic_system, 3)
+        assert str(info.value) == "8^2 field tuples exceed MAX_TUPLES = 63"
 
     def test_tuple_cap_before_the_field_is_built(self, quadratic_system, monkeypatch):
         def unbuildable(p, n):
@@ -233,8 +267,9 @@ class TestBruteForce:
         monkeypatch.setattr(ffield, "make_field", unbuildable)
         # the cap needs no factorization, so q is not factored either
         monkeypatch.setattr(ffield, "split_prime_power", lambda q: pytest.fail("factored q"))
-        with pytest.raises(ScaleCapError, match="80\\^2 field tuples exceed the cap 100"):
-            brute_force_count(quadratic_system, 9, max_tuples=100)
+        monkeypatch.setattr(ffield, "MAX_TUPLES", 100)
+        with pytest.raises(ScaleCapError, match="80\\^2 field tuples exceed MAX_TUPLES = 100"):
+            brute_force_count(quadratic_system, 9)
 
     def test_system_without_relations_builds_no_field(self, corpus, monkeypatch):
         monkeypatch.setattr(ffield, "_discrete_logs", lambda f: pytest.fail("built logs"))
@@ -243,6 +278,38 @@ class TestBruteForce:
         assert brute_force_count(corpus["empty-k2-n1"], 9) == 8**2
         with pytest.raises(ValueError):
             brute_force_count(corpus["empty-k1-n2"], 6)
+
+
+# a child's ru_maxrss also counts the pages of the process that started it, up
+# to its exec; a small launcher in between keeps the test process out of it
+LAUNCHER = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux")
+def test_field_oracle_peak_memory_in_a_fresh_interpreter():
+    # N = 249000 at q = 499: one N-long list of logs and the power cycles peak
+    # near 24 MB; N-long tables per exponent and N-entry dicts reach 67 MB
+    from conftest import CORPUS, CORPUS_TEXTS
+
+    code = (
+        "import resource, sys\n"
+        "from porcfield import brute_force_count, parse_system\n"
+        "print(brute_force_count(parse_system(sys.argv[1]), 499))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    text = CORPUS_TEXTS["cube-vs-frobenius"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, sys.executable, "-c", code, text],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    count, peak_kb = map(int, result.stdout.split())
+    assert count == count_at(CORPUS["cube-vs-frobenius"], 499)
+    assert peak_kb < 45 * 1024, peak_kb
 
 
 class TestReducibleModulus:
@@ -280,16 +347,19 @@ class TestExponentSpace:
     def test_any_integer_q_accepted(self, quadratic_system):
         assert exponent_space_count(quadratic_system, 6) == 30
 
-    def test_tuple_cap(self):
+    def test_tuple_cap(self, monkeypatch):
+        monkeypatch.setattr(ffield, "MAX_TUPLES", 1000)
         with pytest.raises(ScaleCapError):
-            exponent_space_count(make_system(3, 2), 9, max_tuples=1000)
+            exponent_space_count(make_system(3, 2), 9)
 
-    def test_tuple_cap_boundary(self, quadratic_system):
+    def test_tuple_cap_boundary(self, quadratic_system, monkeypatch):
         # the cap counts the 8^2 tuples of Z_8^2 at q = 3, n = 2, not histogram entries
-        assert exponent_space_count(quadratic_system, 3, max_tuples=64) == 12
+        monkeypatch.setattr(ffield, "MAX_TUPLES", 64)
+        assert exponent_space_count(quadratic_system, 3) == 12
+        monkeypatch.setattr(ffield, "MAX_TUPLES", 63)
         with pytest.raises(ScaleCapError) as info:
-            exponent_space_count(quadratic_system, 3, max_tuples=63)
-        assert str(info.value) == "8^2 exponent tuples exceed the cap 63"
+            exponent_space_count(quadratic_system, 3)
+        assert str(info.value) == "8^2 exponent tuples exceed MAX_TUPLES = 63"
 
 
 def test_oracles_agree_on_corpus(corpus):
@@ -430,9 +500,6 @@ def test_exponent_oracle_matches_a_literal_product_count(case):
             for betas, is_eq in relations
         ):
             expected += 1
-    # the cap admits exactly modulus^k tuples
-    count = exponent_space_count(make_system(k, n, eqs, neqs), q0, max_tuples=modulus**k)
-    assert count == expected
     # permuting the unknowns moves the split between the two halves
     permuted = make_system(
         k,
@@ -440,4 +507,7 @@ def test_exponent_oracle_matches_a_literal_product_count(case):
         [tuple(row[i] for i in order) for row in eqs],
         [tuple(row[i] for i in order) for row in neqs],
     )
-    assert exponent_space_count(permuted, q0, max_tuples=modulus**k) == expected
+    # the cap admits exactly modulus^k tuples
+    with patch.object(ffield, "MAX_TUPLES", modulus**k):
+        assert exponent_space_count(make_system(k, n, eqs, neqs), q0) == expected
+        assert exponent_space_count(permuted, q0) == expected

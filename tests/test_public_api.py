@@ -1,4 +1,4 @@
-"""The package's public names, runtime dependencies and documented caps, pinned."""
+"""The package's public names, runtime dependencies, documented caps and options, pinned."""
 
 import ast
 import importlib
@@ -124,3 +124,34 @@ def test_every_cap_is_in_the_readme_and_every_listed_cap_exists():
     assert {"CLASS_BUDGET", "TERM_BUDGET", "MAX_FIELD_ORDER"} <= caps
     assert not caps - listed, "caps missing from the README"
     assert not listed - caps, "README caps the package does not define"
+
+
+def _cli_options():
+    """Every option string of every subcommand of ``build_parser()``, help aside."""
+    from porcfield.cli import build_parser
+
+    [subcommands] = [
+        action.choices for action in build_parser()._actions if action.choices
+    ]
+    return {
+        flag
+        for sub in subcommands.values()
+        for action in sub._actions
+        for flag in action.option_strings
+        if flag not in ("-h", "--help")
+    }
+
+
+def _readme_options():
+    """The --options named in the README's "Command line" section."""
+    text = (ROOT / "README.md").read_text()
+    start = text.index("\n## Command line\n")
+    section = text[start : text.index("\n## ", start + 1)]
+    return set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
+
+
+def test_every_cli_option_is_in_the_readme_and_every_listed_option_exists():
+    options, listed = _cli_options(), _readme_options()
+    assert {"--text", "--format", "--q", "--q-range"} <= options
+    assert not options - listed, "options missing from the README"
+    assert not listed - options, "README options the CLI does not take"
