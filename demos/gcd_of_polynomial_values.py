@@ -3,7 +3,7 @@ Closed forms for gcds of polynomial values
 ==========================================
 
 The integer-valued function h(x) = gcd(f1(x), ..., fs(x)) always factors
-as d(x) * |f(x)| with f the polynomial gcd of the family and d a rational
+as d(x) * |f(x)| with f the polynomial gcd of the family and d an integer
 combination of gcd(x - n_i, m_i) terms.  This demo builds a few of these
 closed forms and inspects their ingredients.
 """
@@ -25,7 +25,7 @@ from porcfield import (
 
 family = [parse_poly("x^2+x"), parse_poly("x^2-x")]
 f, cofactors, m = bezout_cofactors(family)
-print(f"family: {[str(p) for p in family]}")
+print(f"family: {[p.render('x') for p in family]}")
 print(f"polynomial gcd f = {f.render('x')}")
 # integer cofactors G_i with sum(f_i * G_i) = m * f: m is the Bezout modulus
 assert sum((p * c for p, c in zip(family, cofactors)), IntPoly()) == f * m
@@ -42,11 +42,15 @@ for x in range(2, 10):
     print(f"{x} | {direct:17d} | {g.value_at(x):11d}")
 
 ###############################################################################
-# The indicator behind the construction
-# -------------------------------------
+# Indicator expressions
+# ---------------------
 # For a modulus m, a signed sum of gcd(x, m/d) terms over squarefree d
 # vanishes on every nonzero class and equals Euler's totient at 0 mod m.
-# It is an expression of the same gcd-combination form as d.
+# It is an expression of the same gcd-combination form as d.  The reference
+# construction in tests/literal_oracle.py sums shifted indicators, one per
+# residue class.  The synthesis itself adds, for each class c mod p^j where
+# the family over f and its content vanishes, the difference
+# gcd(x-c, p^j) - gcd(x-c, p^(j-1)).
 
 indicator = build_indicator(12)
 print(f"\nindicator for modulus 12: {indicator.render('x')}")
@@ -57,13 +61,16 @@ print("values: ", [int(porc_eval(indicator, x)) for x in range(1, 13)])
 # A family with a large modulus
 # -----------------------------
 # Random-looking families put a resultant-sized modulus into the Bezout
-# identity; the synthesis works prime by prime over that modulus, so the
-# result stays small.
+# identity.  The synthesis works prime by prime over the modulus of its own
+# gcd fold, which builds no cofactors: any integer m with m*f in the
+# family's ideal serves, and one of 2^64 or more is first cut down to a
+# divisor that still lies in the ideal.  Only the primes where the family
+# has common roots add terms, so the result stays small.
 
 family = [parse_poly("x^5-3*x^2+7"), parse_poly("2*x^4+x-9")]
 f, cofactors, m = bezout_cofactors(family)
 assert sum((p * c for p, c in zip(family, cofactors)), IntPoly()) == f * m
-print(f"\nfamily: {[str(p) for p in family]}")
+print(f"\nfamily: {[p.render('x') for p in family]}")
 print(f"f = {f.render('x')}, Bezout modulus m = {m}")
 print(f"integer cofactors {[c.render('x') for c in cofactors]}")
 g = synthesize_gcd_function(family)

@@ -121,31 +121,38 @@ class IntPoly:
 
     def render(self, var: str = "q") -> str:
         """Canonical compact text form, terms in descending degree."""
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            elif i == 1:
-                body = var if mag == 1 else f"{mag}*{var}"
-            else:
-                body = f"{var}^{i}" if mag == 1 else f"{mag}*{var}^{i}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+{body}" if c > 0 else f"-{body}")
-        return "".join(parts)
+        terms = [
+            (c, "" if i == 0 else var if i == 1 else f"{var}^{i}")
+            for i, c in enumerate(self.coeffs)
+            if c
+        ]
+        return _signed_sum(reversed(terms))
 
     def __str__(self):
         return self.render()
 
     def __repr__(self):
         return f"IntPoly({list(self.coeffs)!r})"
+
+
+def _signed_sum(terms, spaced: bool = False) -> str:
+    """Print (coeff, body) pairs as a signed sum such as ``3*q^2-q+1``.
+
+    A term prints as |coeff|*body, as body alone when |coeff| is 1, and as
+    |coeff| when body is empty; the sign of coeff joins it to the sum.  With
+    spaced, the terms join as ``a - b + c``.  The caller parenthesizes any
+    body that a minus sign must bind as a whole.  The empty sum prints 0.
+    """
+    plus, minus = (" + ", " - ") if spaced else ("+", "-")
+    out = []
+    for coeff, body in terms:
+        mag = abs(coeff)
+        if out:
+            out.append(minus if coeff < 0 else plus)
+        elif coeff < 0:
+            out.append("-")
+        out.append(f"{mag}*{body}" if body and mag != 1 else body or str(mag))
+    return "".join(out) or "0"
 
 
 def content_and_primitive(p: IntPoly) -> tuple[int, IntPoly]:

@@ -34,7 +34,7 @@ from math import gcd, lcm
 from ._gfpoly import factorize, gf_eval, gf_from_coeffs, gf_roots
 from ._record import Record
 from .errors import ConsistencyError, ScaleCapError
-from .polynomial import IntPoly, _ext_euclid, content_and_primitive
+from .polynomial import IntPoly, _ext_euclid, _signed_sum, content_and_primitive
 
 # Not called here; the benchmark's tracer wraps porcfield.porc.bezout_cofactors.
 from .polynomial import bezout_cofactors  # noqa: F401
@@ -58,22 +58,9 @@ class PorcExpression(Record):
         return porc_eval(self, x)
 
     def render(self, var: str = "q") -> str:
-        parts: list[tuple[bool, str]] = []  # (negative, body)
-        if self.alpha or not self.terms:
-            parts.append((self.alpha < 0, str(abs(self.alpha))))
-        for coeff, n, m in self.terms:
-            body = f"gcd({var}-{n},{m})" if n else f"gcd({var},{m})"
-            mag = abs(coeff)
-            if mag != 1:
-                body = f"{mag}*{body}"
-            parts.append((coeff < 0, body))
-        out = ""
-        for i, (neg, body) in enumerate(parts):
-            if i == 0:
-                out = f"-{body}" if neg else body
-            else:
-                out += f"-{body}" if neg else f"+{body}"
-        return out
+        alpha = [(self.alpha, "")] if self.alpha else []
+        terms = [(c, f"gcd({var}-{n},{m})" if n else f"gcd({var},{m})") for c, n, m in self.terms]
+        return _signed_sum(alpha + terms)
 
     def __str__(self):
         return self.render()
@@ -102,7 +89,7 @@ class GcdPorcFunction(Record):
         if self.d == PORC_ONE:
             return f_str
         d_str = self.d.render(var)
-        d_compound = (self.alpha_nonzero and bool(self.d.terms)) or len(self.d.terms) > 1
+        d_compound = len(self.d.terms) + bool(self.d.alpha) > 1
         if self.f == IntPoly((1,)):
             return f"({d_str})" if d_compound else d_str
         if d_compound:
@@ -110,10 +97,6 @@ class GcdPorcFunction(Record):
         if sum(1 for c in self.f.coeffs if c) > 1 or abs(self.f.leading) != 1:
             f_str = f"({f_str})"
         return f"{d_str}*{f_str}"
-
-    @property
-    def alpha_nonzero(self) -> bool:
-        return bool(self.d.alpha)
 
     def __str__(self):
         return self.render()
@@ -194,17 +177,6 @@ def _gcd_fold(fs, f: IntPoly | None = None, m: int = 0) -> tuple[IntPoly, int]:
     if f is None:
         raise ValueError("gcd of an all-zero family is undefined")
     return f, m
-
-
-def synthesize_gcd_function(fs, fold: tuple[IntPoly, int] | None = None) -> GcdPorcFunction:
-    """Closed PORC form of x -> gcd(f_1(x), ..., f_s(x)).
-
-    Needs at least one nonzero member.  The result satisfies
-    value_at(x) == gcd of the family values for every x with f(x) != 0.
-    A caller that has already folded the family passes its (f, m) as fold.
-    """
-    f, m0 = _gcd_fold(fs) if fold is None else fold
-    return _synthesize_factored(fs, f, m0)
 
 
 def _crt(r1: int, m1: int, r2: int, m2: int) -> int:
@@ -310,17 +282,23 @@ def _shrink_modulus(hs, m: int) -> int:
     return m
 
 
-def _synthesize_factored(fs, f: IntPoly, m0: int) -> GcdPorcFunction:
-    """The closed form of the nonzero members of fs, whose gcd f has modulus m0.
+def synthesize_gcd_function(fs, fold: tuple[IntPoly, int] | None = None) -> GcdPorcFunction:
+    """Closed PORC form of x -> gcd(f_1(x), ..., f_s(x)).
 
-    d is a dict {(modulus, shift): coeff}, with alpha under (1, 0).  It starts
-    as the family content gamma and is multiplied through CRT by each prime's
-    local expression 1 + sum over classes c mod p^j of
+    Needs at least one nonzero member.  The result satisfies
+    value_at(x) == gcd of the family values for every x with f(x) != 0.
+    A caller that has already folded the family passes its (f, m) as fold:
+    the family's primitive gcd f and a modulus m >= 1 with m*f in its ideal.
+
+    d is built as a dict {(modulus, shift): coeff}, with alpha under (1, 0).
+    It starts as the family content gamma and is multiplied through CRT by
+    each prime's local expression 1 + sum over classes c mod p^j of
     gcd(x-c, p^j) - gcd(x-c, p^(j-1)), built merged; zeros are dropped.  The
     moduli of different primes are coprime, so the CRT map is one to one:
     every product key is distinct and d is canonical once sorted.
     TERM_BUDGET bounds the keys of each product.
     """
+    f, m0 = _gcd_fold(fs) if fold is None else fold
     hs = [p for p in fs if p]
     if f.degree != 0:
         try:

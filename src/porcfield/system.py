@@ -20,8 +20,8 @@ from math import comb
 
 from ._record import Record
 from .errors import ConsistencyError, ScaleCapError
-from .polynomial import IntPoly
-from .porc import GcdPorcFunction, _gcd_fold, porc_eval, synthesize_gcd_function
+from .polynomial import IntPoly, _signed_sum
+from .porc import PORC_ONE, GcdPorcFunction, _gcd_fold, synthesize_gcd_function
 from .relmat import build_relation_matrix, evaluate_matrix, maximal_minors
 from .snf import divisor_product, smith_normal_form
 
@@ -98,14 +98,18 @@ class CountingFunction(Record):
         return counting_eval(self, q0)
 
     def render(self, var: str = "q") -> str:
-        out = ""
-        for i, (sign, g) in enumerate(self.terms):
+        """The terms' closed forms joined as ``a - b + c``; a minus sign binds its whole term.
+
+        Only a term with d = 1 and an f of several terms prints as a bare
+        sum, so only that term is parenthesized after a minus sign.
+        """
+        terms = []
+        for sign, g in self.terms:
             body = g.render(var)
-            if i == 0:
-                out = f"-{body}" if sign < 0 else body
-            else:
-                out += f" - {body}" if sign < 0 else f" + {body}"
-        return out
+            if sign < 0 and g.d == PORC_ONE and sum(1 for c in g.f.coeffs if c) > 1:
+                body = f"({body})"
+            terms.append((sign, body))
+        return _signed_sum(terms, spaced=True)
 
     def __str__(self):
         return self.render()
@@ -203,11 +207,7 @@ def counting_eval(cf: CountingFunction, q0: int) -> int:
     """Exact value of the counting function at q0 (any integer >= 2)."""
     if q0 < 2:
         raise ValueError("q must be at least 2")
-    total = 0
-    for sign, g in cf.terms:
-        total += sign * porc_eval(g.d, q0) * abs(g.f(q0))
-    if total.denominator != 1:
-        raise ConsistencyError("counting function value is not an integer")
+    total = sum(sign * g.value_at(q0) for sign, g in cf.terms)
     if total < 0:
         raise ConsistencyError("counting function value is negative")
-    return total.numerator
+    return total

@@ -211,6 +211,19 @@ class TestVerify:
             "58c9ea0bdb28eff28741d3f9c1eae7d019e3615b93de594304983361b80a96d3"
         )
 
+    def test_corpus_synthesize_output_is_pinned(self, capsys):
+        from conftest import CORPUS_TEXTS
+
+        # the printed formula and its JSON, byte for byte
+        digest = hashlib.sha256()
+        for text in CORPUS_TEXTS.values():
+            for fmt in ("text", "json"):
+                code = main(["synthesize", "--format", fmt, "--text", text])
+                digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+        assert digest.hexdigest() == (
+            "19e1e6e7f7fd31bc667a51b8ddc4e98df4ed9280092a1372baa23ddb46779596"
+        )
+
     def test_large_prime_q_skips_the_field_oracle_unfactored(self, capsys, monkeypatch):
         import porcfield.ffield as ffield_mod
 

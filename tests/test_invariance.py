@@ -5,7 +5,6 @@ from itertools import permutations
 
 from hypothesis import assume, given, settings, strategies as st
 
-import porcfield.porc as porc
 from porcfield import (
     IntPoly,
     bezout_cofactors,
@@ -246,7 +245,7 @@ def test_gcd_function_ignores_a_multiple_of_the_modulus(fs):
         return
     hs = [p.exact_div(f) for p in fs if p]
     assume(any(bezout_cofactors([hs[0], h])[0] == IntPoly([1]) for h in hs[1:]))
-    assert porc._synthesize_factored(fs, f, m * UNFACTORABLE) == synthesize_gcd_function(fs)
+    assert synthesize_gcd_function(fs, fold=(f, m * UNFACTORABLE)) == synthesize_gcd_function(fs)
 
 
 @SETTINGS

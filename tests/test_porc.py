@@ -288,7 +288,7 @@ def test_duplicated_members_still_shrink_an_unfactorable_modulus(fs):
     # a member repeated up to sign gives the shrink nothing new; a constant
     # anchor (2 over its own gcd 2 leaves 1) must still cut the modulus
     f, _, m = bezout_cofactors(fs)
-    assert porc._synthesize_factored(fs, f, m * UNFACTORABLE) == synthesize_gcd_function(fs)
+    assert synthesize_gcd_function(fs, fold=(f, m * UNFACTORABLE)) == synthesize_gcd_function(fs)
 
 
 def test_gcd_fold_gives_the_gcd_and_a_multiple_of_every_value_ratio():

@@ -26,6 +26,7 @@ from porcfield import (
     parse_poly,
     parse_system,
     synthesize_counting_function,
+    synthesize_gcd_function,
 )
 from porcfield.errors import ConsistencyError
 from porcfield.jsonio import counting_function_from_dict, counting_function_to_dict
@@ -298,7 +299,7 @@ def test_lattice_terms_match_an_independent_modulus(drawn):
         rows = eqs + [row for i, row in enumerate(neqs) if mask >> i & 1]
         minors = maximal_minors(build_relation_matrix(rows, k, n))
         f, _, m = bezout_cofactors(minors)
-        assert term == porc._synthesize_factored(minors, f, m), mask
+        assert term == synthesize_gcd_function(minors, fold=(f, m)), mask
 
 
 def test_each_subset_folds_only_the_minors_of_its_new_row(monkeypatch):
