@@ -37,7 +37,7 @@ print(f"system over GF(q^{system.n}) in {system.variables}")
 rows = [r.exponents for r in system.relations if r.kind == "eq"]
 matrix = build_relation_matrix(rows, system.k, system.n)
 print("\nequality relation matrix (rows are exponent vectors):")
-for row in matrix.rows:
+for row in matrix:
     print("   ", [str(p) for p in row])
 
 for q in (3, 4, 5):

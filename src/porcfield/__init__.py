@@ -32,13 +32,8 @@ from .porc import (
     porc_to_residue_table,
     synthesize_gcd_function,
 )
-from .relmat import (
-    RelationMatrix,
-    build_relation_matrix,
-    evaluate_matrix,
-    maximal_minors,
-)
-from .snf import divisor_product, smith_normal_form
+from .relmat import build_relation_matrix, evaluate_matrix, maximal_minors
+from .snf import smith_normal_form
 from .system import (
     EQ,
     NEQ,
@@ -65,7 +60,6 @@ __all__ = [
     "MonomialSystem",
     "NEQ",
     "PorcExpression",
-    "RelationMatrix",
     "ScaleCapError",
     "bezout_cofactors",
     "brute_force_count",
@@ -74,7 +68,6 @@ __all__ = [
     "content_and_primitive",
     "count_at",
     "counting_eval",
-    "divisor_product",
     "evaluate_matrix",
     "exponent_space_count",
     "make_field",

@@ -91,8 +91,7 @@ def _read_source(args) -> str:
         with open(args.source, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE) from exc
+        raise ValueError(str(exc)) from exc
 
 
 def _print_json(obj) -> None:

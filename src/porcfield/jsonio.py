@@ -55,10 +55,14 @@ def counting_function_to_dict(cf: CountingFunction) -> dict:
 
 
 def counting_function_from_dict(data: dict) -> CountingFunction:
-    terms = tuple(
-        (int(t["sign"]), gcd_function_from_dict(t["g"])) for t in data["terms"]
-    )
-    return CountingFunction(terms=terms)
+    terms = []
+    for number, t in enumerate(data["terms"]):
+        sign = t["sign"]
+        # render prints a term's sign, never a magnitude
+        if sign not in (1, -1):
+            raise ValueError(f"term {number} has sign {sign}; a term's sign is 1 or -1")
+        terms.append((int(sign), gcd_function_from_dict(t["g"])))
+    return CountingFunction(terms=tuple(terms))
 
 
 def table_to_dict(modulus: int, polys) -> dict:

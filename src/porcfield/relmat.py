@@ -1,12 +1,12 @@
 """Relation matrices over integer polynomials in q.
 
-A monomial system becomes one matrix whose rows are the exponent vectors of
-its relations followed by one membership row (q^n - 1)*e_i per unknown.
-The matrix of an equation system is a selection of those rows, and its
-maximal minors are the full matrix's minors on the selected rows.  Counting
-solutions at a concrete q reduces to the elementary divisors of the
-evaluated matrix, or equivalently to the gcd of the evaluated maximal
-minors.
+A relation matrix is a tuple of rows of IntPoly, all of one width k: the
+exponent vectors of a monomial system's relations followed by one
+membership row (q^n - 1)*e_i per unknown.  The matrix of an equation system
+is a selection of those rows, and its maximal minors are the full matrix's
+minors on the selected rows.  Counting solutions at a concrete q reduces to
+the elementary divisors of the evaluated matrix, or equivalently to the gcd
+of the evaluated maximal minors.
 
 All minors come from one exact routine: a column-by-column Laplace
 expansion that builds the j x j minors on the first j columns from the
@@ -19,21 +19,14 @@ from bisect import bisect_left
 from itertools import combinations
 from math import comb
 
-from ._record import Record
 from .errors import ScaleCapError
 from .polynomial import IntPoly
 
-#: Limit on the number of row subsets enumerated by maximal_minors.
-SUBSET_LIMIT = 10**6
-
-
-class RelationMatrix(Record):
-    """Matrix of exponent polynomials: equation rows plus k membership rows."""
-
-    __slots__ = ("k", "n", "rows")
-    k: int
-    n: int
-    rows: tuple[tuple[IntPoly, ...], ...]
+#: Most maximal minors one expansion may ask for: C(r, k) in one
+#: maximal_minors call, and W, their sum over a system's inclusion-exclusion
+#: subsets, which the system module checks before it builds any matrix.
+#: The slowest accepted shapes synthesize within a minute.
+WORK_BUDGET = 10**6
 
 
 def _membership_poly(n: int) -> IntPoly:
@@ -41,10 +34,10 @@ def _membership_poly(n: int) -> IntPoly:
     return IntPoly.monomial(1, n) - 1
 
 
-def build_relation_matrix(equation_rows, k: int, n: int) -> RelationMatrix:
-    """Assemble the relation matrix for the given equation rows.
+def build_relation_matrix(equation_rows, k: int, n: int) -> tuple[tuple[IntPoly, ...], ...]:
+    """The relation matrix as a tuple of rows: the equation rows, then k membership rows.
 
-    The k membership rows are always appended; callers never supply them.
+    The membership rows are always appended; callers never supply them.
     """
     if k < 1 or n < 1:
         raise ValueError("need at least one unknown and extension degree >= 1")
@@ -58,7 +51,7 @@ def build_relation_matrix(equation_rows, k: int, n: int) -> RelationMatrix:
     zero = IntPoly()
     for i in range(k):
         rows.append(tuple(mem if j == i else zero for j in range(k)))
-    return RelationMatrix(k=k, n=n, rows=tuple(rows))
+    return tuple(rows)
 
 
 def _leading_minors(rows, k: int) -> dict[tuple[int, ...], IntPoly]:
@@ -87,27 +80,28 @@ def _leading_minors(rows, k: int) -> dict[tuple[int, ...], IntPoly]:
     return level
 
 
-def maximal_minors(m: RelationMatrix) -> list[IntPoly]:
+def maximal_minors(rows) -> list[IntPoly]:
     """Determinants of every k-row subset, in lexicographic subset order.
 
-    Zero polynomials are kept so the list always has C(rows, k) entries.
-    More than SUBSET_LIMIT row subsets raise ScaleCapError before any work.
+    k is the width of the rows.  Zero polynomials are kept so the list
+    always has C(len(rows), k) entries.  More than WORK_BUDGET of them
+    raise ScaleCapError before any work.
     """
-    nrows = len(m.rows)
-    if nrows < m.k:
+    if not rows or len(rows) < len(rows[0]):
         raise ValueError("fewer rows than columns")
-    total = comb(nrows, m.k)
-    if total > SUBSET_LIMIT:
+    nrows, k = len(rows), len(rows[0])
+    total = comb(nrows, k)
+    if total > WORK_BUDGET:
         raise ScaleCapError(
-            f"C({nrows}, {m.k}) = {total} row subsets exceed SUBSET_LIMIT = {SUBSET_LIMIT}"
+            f"C({nrows}, {k}) = {total} maximal minors exceed WORK_BUDGET = {WORK_BUDGET}"
         )
-    minors = _leading_minors(m.rows, m.k)
+    minors = _leading_minors(rows, k)
     zero = IntPoly()
-    return [minors.get(subset, zero) for subset in combinations(range(nrows), m.k)]
+    return [minors.get(subset, zero) for subset in combinations(range(nrows), k)]
 
 
-def evaluate_matrix(m: RelationMatrix, q0: int) -> list[list[int]]:
+def evaluate_matrix(rows, q0: int) -> list[list[int]]:
     """Entrywise evaluation at q0, giving a plain integer matrix."""
     if q0 <= 1:
         raise ValueError("degenerate modulus: q^n - 1 <= 0 for q <= 1")
-    return [[p(q0) for p in row] for row in m.rows]
+    return [[p(q0) for p in row] for row in rows]

@@ -7,8 +7,6 @@ unimodular transforms are not tracked.
 
 from __future__ import annotations
 
-from math import prod
-
 from .errors import ConsistencyError
 
 
@@ -95,8 +93,3 @@ def smith_normal_form(rows) -> list[int]:
         if divisors[i + 1] and divisors[i + 1] % max(divisors[i], 1):
             raise ConsistencyError("divisor chain violated")  # pragma: no cover
     return divisors
-
-
-def divisor_product(divisors) -> int:
-    """Product of the elementary divisors (0 when the chain contains a 0)."""
-    return prod(divisors)

@@ -10,24 +10,22 @@ subset's matrix is a selection of rows of one full matrix (the equations,
 every inequation and the membership rows): count_at evaluates that matrix
 once per q, and the synthesis expands it into maximal minors once.  Before
 either builds the matrix, the work the subsets ask for is computed from the
-system's shape and checked against WORK_BUDGET.
+system's shape and checked against relmat.WORK_BUDGET, the budget that also
+bounds one maximal_minors call.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
+from . import relmat
 from ._record import Record
 from .errors import ConsistencyError, ScaleCapError
 from .polynomial import IntPoly, _signed_sum
 from .porc import PORC_ONE, GcdPorcFunction, _gcd_fold, synthesize_gcd_function
 from .relmat import build_relation_matrix, evaluate_matrix, maximal_minors
-from .snf import divisor_product, smith_normal_form
-
-#: Most family members, summed over the inclusion-exclusion subsets, that a
-#: system may ask for: the slowest accepted shapes synthesize within a minute.
-WORK_BUDGET = 10**6
+from .snf import smith_normal_form
 
 EQ = "eq"
 NEQ = "neq"
@@ -116,31 +114,33 @@ class CountingFunction(Record):
 
 
 def _inclusion_exclusion(system: MonomialSystem):
-    """The system's full relation matrix and its inclusion-exclusion subsets.
+    """The rows of the system's full relation matrix, and its inclusion-exclusion subsets.
 
-    The matrix's rows are the equations, every inequation and the k
-    membership rows, in that order.  The subsets follow in ascending bitmask
-    order over the inequations, each as (sign, rows): rows are the sorted
-    indices of the equations, the subset's inequations and the membership
-    rows, so selecting them gives the subset's own relation matrix.
+    The rows are the equations, every inequation and the k membership rows,
+    in that order.  The subsets follow in ascending bitmask order over the
+    inequations, each as (sign, rows): rows are the sorted indices of the
+    equations, the subset's inequations and the membership rows, so
+    selecting them gives the subset's own relation matrix.
 
     A subset with j of the s inequations has e + j + k rows, so its family
     has C(e+j+k, k) maximal minors.  Their sum over the subsets,
     W = sum_j C(s, j)*C(e+j+k, k), is at least 2^s, the number of Smith
-    normal forms count_at takes.  W above WORK_BUDGET raises ScaleCapError
-    before any matrix is built.  W is summed in the form
-    sum_i C(s, i)*C(e+k, k-i)*2^(s-i), i <= min(s, k) (Vandermonde's
-    identity on C(e+j+k, k)), whose few terms stay cheap for any s.
+    normal forms count_at takes, and at least C(e+s+k, k), the full
+    matrix's minors, so maximal_minors never refuses a matrix built here.
+    W above WORK_BUDGET raises ScaleCapError before any matrix is built.
+    W is summed in the form sum_i C(s, i)*C(e+k, k-i)*2^(s-i),
+    i <= min(s, k) (Vandermonde's identity on C(e+j+k, k)), whose few terms
+    stay cheap for any s.
     """
     eqs, neqs = system.equations, system.inequations
     e, s, k = len(eqs), len(neqs), system.k
     work = sum(comb(s, i) * comb(e + k, k - i) * 2 ** (s - i) for i in range(min(s, k) + 1))
-    if work > WORK_BUDGET:
+    if work > relmat.WORK_BUDGET:
         # Python refuses to convert an int of over 4300 digits to decimal
         shown = work if work.bit_length() <= 64 else f"at least 2^{work.bit_length() - 1}"
         raise ScaleCapError(
             f"inclusion-exclusion blow-up: {shown} family members (k={k}, e={e}, s={s}) "
-            f"exceed WORK_BUDGET = {WORK_BUDGET}"
+            f"exceed WORK_BUDGET = {relmat.WORK_BUDGET}"
         )
     matrix = build_relation_matrix([r.exponents for r in eqs + neqs], k, system.n)
     equations = tuple(range(e))
@@ -166,7 +166,7 @@ def count_at(system: MonomialSystem, q0: int) -> int:
         divisors = smith_normal_form([evaluated[i] for i in rows])
         if 0 in divisors:
             raise ConsistencyError("rank-deficient relation matrix at q >= 2")
-        total += sign * divisor_product(divisors)
+        total += sign * prod(divisors)
     if total < 0:
         raise ConsistencyError("negative inclusion-exclusion total")
     return total
@@ -186,7 +186,7 @@ def synthesize_counting_function(system: MonomialSystem) -> CountingFunction:
     """
     e, k = len(system.equations), system.k
     matrix, subsets = _inclusion_exclusion(system)
-    table = dict(zip(combinations(range(len(matrix.rows)), k), maximal_minors(matrix)))
+    table = dict(zip(combinations(range(len(matrix)), k), maximal_minors(matrix)))
     folds: list[tuple[IntPoly, int]] = []  # fold state per mask
     terms = []
     for mask, (sign, rows) in enumerate(subsets):

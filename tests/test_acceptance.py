@@ -6,14 +6,13 @@ lines as they complete.
 
 import random
 import time
-from math import gcd
+from math import gcd, prod
 
 from porcfield import (
     IntPoly,
     brute_force_count,
     build_indicator,
     build_relation_matrix,
-    divisor_product,
     evaluate_matrix,
     exponent_space_count,
     make_system,
@@ -86,7 +85,7 @@ def test_criterion_2_divisor_product_equals_minor_gcd_equals_oracle():
         matrix = build_relation_matrix([r.exponents for r in system.relations], k, n)
         minors = maximal_minors(matrix)
         for q0 in range(2, 10):
-            by_snf = divisor_product(smith_normal_form(evaluate_matrix(matrix, q0)))
+            by_snf = prod(smith_normal_form(evaluate_matrix(matrix, q0)))
             by_minors = gcd(*(p(q0) for p in minors))
             by_oracle = exponent_space_count(system, q0)
             assert by_snf == by_minors == by_oracle, (k, n, q0)

@@ -330,9 +330,12 @@ class TestExitCodes:
         assert "exceeds TABLE_ROW_CAP = 1" in capsys.readouterr().err
 
     def test_missing_file_is_1(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["count", "/nonexistent/path.mono", "--q", "3"])
-        assert info.value.code == 1
+        assert main(["count", "/nonexistent/path.mono", "--q", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: [Errno 2] No such file or directory: '/nonexistent/path.mono'\n"
+        )
 
     def test_usage_error_is_1(self):
         with pytest.raises(SystemExit) as info:
@@ -443,6 +446,13 @@ class TestJsonRoundTrips:
     def test_gcd_function(self):
         g = synthesize_gcd_function([parse_poly("x^2+x"), parse_poly("x^2-x")])
         assert gcd_function_from_dict(gcd_function_to_dict(g)) == g
+
+    @pytest.mark.parametrize("sign", [2, 0, -2, 1.5])
+    def test_counting_function_refuses_a_sign_other_than_one(self, sign):
+        g = {"f": [-1, 1], "d": {"alpha": "1", "terms": []}, "m": 1}
+        data = {"terms": [{"sign": 1, "g": g}, {"sign": sign, "g": g}]}
+        with pytest.raises(ValueError, match=f"term 1 has sign {sign}; a term's sign is 1 or -1"):
+            counting_function_from_dict(data)
 
     def test_counting_function(self, corpus):
         for system in corpus.values():

@@ -24,7 +24,6 @@ PUBLIC_NAMES = [
     "MonomialSystem",
     "NEQ",
     "PorcExpression",
-    "RelationMatrix",
     "ScaleCapError",
     "bezout_cofactors",
     "brute_force_count",
@@ -33,7 +32,6 @@ PUBLIC_NAMES = [
     "content_and_primitive",
     "count_at",
     "counting_eval",
-    "divisor_product",
     "evaluate_matrix",
     "exponent_space_count",
     "make_field",
@@ -52,7 +50,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 35
+    assert len(PUBLIC_NAMES) == 33
     assert sorted(porcfield.__all__) == PUBLIC_NAMES
 
 
@@ -101,22 +99,44 @@ def test_no_runtime_dependencies_are_declared():
 CAP_NAME = re.compile(r"MAX_\w+|\w+_(?:CAP|BUDGET|LIMIT)")
 
 
-def _package_caps():
-    """Module-level cap constants of the package's source."""
-    names = set()
+def _package_cap_values():
+    """Module-level cap constants of the package's source, name to value."""
+    values = {}
     for path in sorted((ROOT / "src" / "porcfield").glob("*.py")):
         for node in ast.parse(path.read_text(), str(path)).body:
             if isinstance(node, ast.Assign):
-                names.update(t.id for t in node.targets if isinstance(t, ast.Name))
-    return {name for name in names if CAP_NAME.fullmatch(name)}
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and CAP_NAME.fullmatch(target.id):
+                        module = importlib.import_module(f"porcfield.{path.stem}")
+                        values[target.id] = getattr(module, target.id)
+    return values
+
+
+def _package_caps():
+    """Module-level cap constants of the package's source."""
+    return set(_package_cap_values())
+
+
+def _readme_cap_list():
+    """The README's bulleted list of size caps."""
+    text = (ROOT / "README.md").read_text()
+    items = text.index("\n\n- ", text.index("Every size cap exits 2"))
+    return text[items : text.index("\n\n", items + 2)]
 
 
 def _readme_caps():
     """Backticked cap names in the README's bulleted list of size caps."""
-    text = (ROOT / "README.md").read_text()
-    items = text.index("\n\n- ", text.index("Every size cap exits 2"))
-    cap_list = text[items : text.index("\n\n", items + 2)]
+    cap_list = _readme_cap_list()
     return {name for name in re.findall(r"`(\w+)`", cap_list) if CAP_NAME.fullmatch(name)}
+
+
+def _readme_cap_values():
+    """Each cap bullet's name and the value it gives: (10^6), (20,000), ..."""
+    values = {}
+    for name, shown in re.findall(r"^- `(\w+)` \(([\d,^]+)\)", _readme_cap_list(), re.M):
+        base, _, exponent = shown.replace(",", "").partition("^")
+        values[name] = int(base) ** int(exponent or 1)
+    return values
 
 
 def test_every_cap_is_in_the_readme_and_every_listed_cap_exists():
@@ -124,6 +144,12 @@ def test_every_cap_is_in_the_readme_and_every_listed_cap_exists():
     assert {"CLASS_BUDGET", "TERM_BUDGET", "MAX_FIELD_ORDER"} <= caps
     assert not caps - listed, "caps missing from the README"
     assert not listed - caps, "README caps the package does not define"
+
+
+def test_every_readme_cap_value_is_the_constant():
+    values = _readme_cap_values()
+    assert len(values) == 7
+    assert values == _package_cap_values()
 
 
 def _cli_options():

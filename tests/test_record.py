@@ -1,4 +1,4 @@
-"""Value semantics of the six immutable records of the pipeline."""
+"""Value semantics of the five immutable records of the pipeline."""
 
 import pickle
 from fractions import Fraction
@@ -12,7 +12,6 @@ from porcfield import (
     MonomialRelation,
     MonomialSystem,
     PorcExpression,
-    RelationMatrix,
 )
 
 X = IntPoly((0, 1))
@@ -23,7 +22,6 @@ REL = MonomialRelation((X, ONE), "eq")
 FIELDS = {
     PorcExpression: ("alpha", "terms"),
     GcdPorcFunction: ("f", "d", "m"),
-    RelationMatrix: ("k", "n", "rows"),
     MonomialRelation: ("exponents", "kind"),
     MonomialSystem: ("k", "n", "relations", "variables"),
     CountingFunction: ("terms",),
@@ -36,7 +34,6 @@ def _records():
         (PorcExpression(Fraction(1), ((Fraction(-1, 2), 1, 2),)),
          PorcExpression(alpha=Fraction(1), terms=((Fraction(-1, 2), 1, 2),))),
         (GcdPorcFunction(X, D, 2), GcdPorcFunction(f=X, d=D, m=2)),
-        (RelationMatrix(2, 1, ((X, ONE),)), RelationMatrix(k=2, n=1, rows=((X, ONE),))),
         (MonomialRelation((X, ONE), "eq"), MonomialRelation(exponents=(X, ONE), kind="eq")),
         (MonomialSystem(2, 1, (REL,)), MonomialSystem(k=2, n=1, relations=(REL,))),
         (CountingFunction(((1, G),)), CountingFunction(terms=((1, G),))),
@@ -80,7 +77,6 @@ def test_repr_names_the_class_and_every_field():
         "MonomialSystem(k=1, n=2, relations=(), variables=('x1',))"
     )
     assert repr(CountingFunction(())) == "CountingFunction(terms=())"
-    assert repr(RelationMatrix(1, 1, ())) == "RelationMatrix(k=1, n=1, rows=())"
 
 
 @pytest.mark.parametrize("a, _", _records(), ids=lambda r: type(r).__name__)

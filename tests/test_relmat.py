@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd
+from math import comb, gcd, prod
 
 import pytest
 
@@ -11,7 +11,6 @@ from porcfield import (
     IntPoly,
     ScaleCapError,
     build_relation_matrix,
-    divisor_product,
     evaluate_matrix,
     exponent_space_count,
     make_system,
@@ -30,7 +29,7 @@ ZERO = IntPoly()
 class TestBuilder:
     def test_quadratic_system_rows(self):
         m = build_relation_matrix([(Q2M1, ZERO), (QP1, IntPoly([-2]))], 2, 2)
-        assert m.rows == (
+        assert m == (
             (Q2M1, ZERO),
             (QP1, IntPoly([-2])),
             (Q2M1, ZERO),
@@ -39,11 +38,11 @@ class TestBuilder:
 
     def test_membership_only(self):
         m = build_relation_matrix([], 1, 3)
-        assert m.rows == ((parse_poly("q^3-1"),),)
+        assert m == ((parse_poly("q^3-1"),),)
 
     def test_second_displayed_matrix(self):
         m = build_relation_matrix([(QM1, ZERO), (QP1, IntPoly([-2]))], 2, 2)
-        assert m.rows == (
+        assert m == (
             (QM1, ZERO),
             (QP1, IntPoly([-2])),
             (Q2M1, ZERO),
@@ -80,11 +79,11 @@ class TestMinors:
 
     def test_subset_limit_raises(self, monkeypatch):
         m = build_relation_matrix([(Q2M1, ZERO), (QP1, IntPoly([-2]))], 2, 2)
-        monkeypatch.setattr(relmat, "SUBSET_LIMIT", 5)
-        limit_hit = r"C\(4, 2\) = 6 row subsets exceed SUBSET_LIMIT = 5"
+        monkeypatch.setattr(relmat, "WORK_BUDGET", 5)
+        limit_hit = r"C\(4, 2\) = 6 maximal minors exceed WORK_BUDGET = 5"
         with pytest.raises(ScaleCapError, match=limit_hit):
             maximal_minors(m)
-        monkeypatch.setattr(relmat, "SUBSET_LIMIT", 6)
+        monkeypatch.setattr(relmat, "WORK_BUDGET", 6)
         assert len(maximal_minors(m)) == 6
 
 
@@ -169,7 +168,7 @@ def test_maximal_minors_match_integer_determinants():
             eqs[0] = (ZERO,) * k  # a zero row
         matrix = build_relation_matrix(eqs, k, n)
         minors = maximal_minors(matrix)
-        nrows = len(matrix.rows)
+        nrows = len(matrix)
         assert len(minors) == comb(nrows, k)
         for q0 in (2, 3, 4):
             evaluated = evaluate_matrix(matrix, q0)
@@ -235,7 +234,7 @@ def test_minor_gcd_equals_divisor_product_equals_oracle():
         minors = maximal_minors(matrix)
         for q0 in range(2, 8):
             by_minors = gcd(*(p(q0) for p in minors))
-            by_snf = divisor_product(smith_normal_form(evaluate_matrix(matrix, q0)))
+            by_snf = prod(smith_normal_form(evaluate_matrix(matrix, q0)))
             assert by_minors == by_snf
             if (q0**system.n - 1) ** system.k <= 100_000:
                 assert by_snf == exponent_space_count(system, q0)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from porcfield import divisor_product, smith_normal_form
+from porcfield import smith_normal_form
 
 
 class TestExamples:
@@ -24,17 +24,6 @@ class TestExamples:
 
     def test_wide_matrix(self):
         assert smith_normal_form([[1, 0, 0]]) == [1, 0, 0]
-
-
-class TestDivisorProduct:
-    def test_unit(self):
-        assert divisor_product([1, 1, 1]) == 1
-
-    def test_quadratic_system_count(self):
-        assert divisor_product([2, 8]) == 16
-
-    def test_zero_propagates(self):
-        assert divisor_product([2, 0]) == 0
 
 
 class TestValidation:

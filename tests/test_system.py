@@ -140,7 +140,7 @@ class TestCountAt:
         with pytest.raises(ScaleCapError, match="blow-up: 24117248 family members"):
             count_at(system, 3)
         # s = 3: 2^3 + 3*2^2 = 20 family members, exactly at the budget
-        monkeypatch.setattr(system_mod, "WORK_BUDGET", 20)
+        monkeypatch.setattr(relmat, "WORK_BUDGET", 20)
         assert count_at(make_system(1, 1, neqs=[(1,)] * 3), 3) >= 0
 
     def test_huge_work_is_refused_in_few_digits(self):
@@ -371,25 +371,26 @@ RUNS = {
 }
 
 
-def test_work_budget_comes_before_the_subset_limit(monkeypatch):
-    monkeypatch.setattr(relmat, "SUBSET_LIMIT", 1)
-    monkeypatch.setattr(system_mod, "WORK_BUDGET", THREE_NEQS_WORK - 1)
-    for run in RUNS.values():
-        with pytest.raises(ScaleCapError, match="blow-up: 66 family members .* exceed WORK_BUDGET"):
-            run(THREE_NEQS)
-
-
 @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS)
 def test_work_budget_boundary_is_checked_before_any_matrix(run, monkeypatch):
-    monkeypatch.setattr(system_mod, "WORK_BUDGET", THREE_NEQS_WORK)
+    monkeypatch.setattr(relmat, "WORK_BUDGET", THREE_NEQS_WORK)
     run(THREE_NEQS)
-    monkeypatch.setattr(system_mod, "WORK_BUDGET", THREE_NEQS_WORK - 1)
+    monkeypatch.setattr(relmat, "WORK_BUDGET", THREE_NEQS_WORK - 1)
     stages = ("build_relation_matrix", "maximal_minors", "_gcd_fold", "smith_normal_form")
     calls = {name: _calls(monkeypatch, system_mod, name) for name in stages}
     refused = r"blow-up: 66 family members \(k=2, e=1, s=3\) exceed WORK_BUDGET = 65$"
     with pytest.raises(ScaleCapError, match=refused):
         run(THREE_NEQS)
     assert calls == {name: [] for name in stages}
+
+
+def _work(system):
+    # the W that the synthesis's refusal at budget 0 reports
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relmat, "WORK_BUDGET", 0)
+        with pytest.raises(ScaleCapError) as refusal:
+            synthesize_counting_function(system)
+    return int(re.search(r"blow-up: (\d+) family members", str(refusal.value))[1])
 
 
 @st.composite
@@ -405,11 +406,7 @@ def test_work_is_the_sum_of_the_family_sizes(drawn):
     # the W that a refusal reports equals the members the synthesis hands on
     k, eqs, neqs = drawn
     system = make_system(k, 2, eqs=eqs, neqs=neqs)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(system_mod, "WORK_BUDGET", 0)
-        with pytest.raises(ScaleCapError) as refusal:
-            synthesize_counting_function(system)
-    work = int(re.search(r"blow-up: (\d+) family members", str(refusal.value))[1])
+    work = _work(system)
     with pytest.MonkeyPatch.context() as patch:
         families = _calls(patch, system_mod, "synthesize_gcd_function")
         synthesize_counting_function(system)
@@ -417,11 +414,27 @@ def test_work_is_the_sum_of_the_family_sizes(drawn):
     assert work == sum(len(args[0]) for args in families)
 
 
-def test_subset_limit_is_hit_before_any_fold(monkeypatch):
-    # the root subset's C(3, 2) = 3 minors fit the limit, but the full matrix's
-    # C(6, 2) = 15 do not: the synthesis stops before folding any subset
-    monkeypatch.setattr(relmat, "SUBSET_LIMIT", 3)
-    folds = _calls(monkeypatch, system_mod, "_gcd_fold")
-    with pytest.raises(ScaleCapError, match=r"C\(6, 2\) = 15 row subsets exceed SUBSET_LIMIT = 3"):
-        synthesize_counting_function(THREE_NEQS)
-    assert folds == []
+def test_work_is_at_least_the_full_matrix_minors():
+    # the subset holding every inequation asks for C(e+s+k, k) members, all
+    # the full matrix's minors, so maximal_minors never refuses a matrix
+    # that the work check let through
+    for k in range(1, 10):
+        for e in range(7):
+            for s in range(17):
+                system = make_system(k, 1, eqs=[(1,) * k] * e, neqs=[(1,) * k] * s)
+                assert _work(system) >= comb(e + s + k, k), (k, e, s)
+
+
+@pytest.mark.parametrize("run", RUNS.values(), ids=RUNS)
+def test_work_budget_refuses_where_the_full_matrix_would_fit(run, monkeypatch):
+    # at a budget of C(6, 2) = 15 the full matrix's minors fit, but the 66
+    # family members do not: the refusal comes before any matrix
+    rows = [r.exponents for r in THREE_NEQS.relations]
+    monkeypatch.setattr(relmat, "WORK_BUDGET", comb(6, 2))
+    assert len(maximal_minors(build_relation_matrix(rows, 2, 2))) == 15
+    stages = ("build_relation_matrix", "maximal_minors")
+    calls = {name: _calls(monkeypatch, system_mod, name) for name in stages}
+    refused = r"blow-up: 66 family members \(k=2, e=1, s=3\) exceed WORK_BUDGET = 15$"
+    with pytest.raises(ScaleCapError, match=refused):
+        run(THREE_NEQS)
+    assert calls == {name: [] for name in stages}
