@@ -7,17 +7,12 @@ exceeded, 3 verification mismatch or internal consistency error.
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from ._gfpoly import factorize
 from .errors import ConsistencyError, ScaleCapError
 from .ffield import brute_force_count, exponent_space_count
-from .jsonio import (
-    counting_function_to_dict,
-    gcd_function_to_dict,
-    table_to_dict,
-)
+from .jsonio import counting_function_to_dict, dumps, gcd_function_to_dict, table_to_dict
 from .parser import DslSyntaxError, first_identifier, parse_system
 from .polynomial import parse_poly
 from .porc import porc_to_residue_table, synthesize_gcd_function
@@ -29,82 +24,27 @@ EXIT_SCALE = 2
 EXIT_MISMATCH = 3
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    # argparse exits with 2 by default; 2 is reserved for scale caps here
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
-
-
-def _add_input_args(sub):
-    sub.add_argument("source", nargs="?", help="input file, or '-' for stdin")
-    sub.add_argument("--text", help="inline input text instead of a file")
-
-
-def _add_format(sub):
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    root = _ArgumentParser(prog="porcfield")
-    subs = root.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("synthesize", help="closed-form counting function")
-    _add_input_args(s)
-    _add_format(s)
-    s.set_defaults(func=_cmd_synthesize)
-
-    s = subs.add_parser("count", help="solution count at one q")
-    _add_input_args(s)
-    _add_format(s)
-    s.add_argument("--q", type=int, required=True)
-    s.set_defaults(func=_cmd_count)
-
-    s = subs.add_parser("gcd-porc", help="closed form of a gcd of polynomial values")
-    _add_input_args(s)
-    _add_format(s)
-    s.set_defaults(func=_cmd_gcd_porc)
-
-    s = subs.add_parser("table", help="residue-class polynomial table")
-    _add_input_args(s)
-    _add_format(s)
-    s.set_defaults(func=_cmd_table)
-
-    s = subs.add_parser("verify", help="cross-check counts against the oracles")
-    _add_input_args(s)
-    s.add_argument("--q-range", default="2:9", help="inclusive lo:hi range of q values")
-    s.set_defaults(func=_cmd_verify)
-    return root
-
-
 def _read_source(args) -> str:
-    if args.text is not None:
-        if args.source is not None:
-            raise ValueError(f"both a source ({args.source!r}) and --text given; pass one")
-        return args.text
-    if args.source is None:
+    if args["text"] is not None:
+        if args["source"] is not None:
+            raise ValueError(f"both a source ({args['source']!r}) and --text given; pass one")
+        return args["text"]
+    if args["source"] is None:
         raise ValueError("no input given (pass a file or --text)")
-    if args.source == "-":
+    if args["source"] == "-":
         return sys.stdin.read()
     try:
-        with open(args.source, encoding="utf-8") as fh:
+        with open(args["source"], encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise ValueError(str(exc)) from exc
 
 
-def _print_json(obj) -> None:
-    import json  # imported here so that text output never loads it
-
-    print(json.dumps(obj))
-
-
 def _cmd_synthesize(args) -> int:
     system = parse_system(_read_source(args))
     cf = synthesize_counting_function(system)
-    if args.format == "json":
-        _print_json(counting_function_to_dict(cf))
+    if args["format"] == "json":
+        print(dumps(counting_function_to_dict(cf)))
     else:
         print(cf.render())
     return EXIT_OK
@@ -112,9 +52,9 @@ def _cmd_synthesize(args) -> int:
 
 def _cmd_count(args) -> int:
     system = parse_system(_read_source(args))
-    value = count_at(system, args.q)
-    if args.format == "json":
-        _print_json({"q": args.q, "count": value})
+    value = count_at(system, args["q"])
+    if args["format"] == "json":
+        print(dumps({"q": args["q"], "count": value}))
     else:
         print(value)
     return EXIT_OK
@@ -135,8 +75,8 @@ def _cmd_gcd_porc(args) -> int:
     if not polys:
         raise ValueError("no polynomials given")
     g = synthesize_gcd_function(polys)
-    if args.format == "json":
-        _print_json(gcd_function_to_dict(g))
+    if args["format"] == "json":
+        print(dumps(gcd_function_to_dict(g)))
     else:
         print(g.render("x"))
     return EXIT_OK
@@ -146,8 +86,8 @@ def _cmd_table(args) -> int:
     system = parse_system(_read_source(args))
     cf = synthesize_counting_function(system)
     modulus, polys = porc_to_residue_table(cf)
-    if args.format == "json":
-        _print_json(table_to_dict(modulus, polys))
+    if args["format"] == "json":
+        print(dumps(table_to_dict(modulus, polys)))
     else:
         print(f"modulus {modulus}")
         for r, poly in enumerate(polys):
@@ -168,7 +108,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _cmd_verify(args) -> int:
     system = parse_system(_read_source(args))
-    lo, hi = _parse_range(args.q_range)
+    lo, hi = _parse_range(args["q-range"])
     cf = synthesize_counting_function(system)
     mismatches = 0
     for q0 in range(lo, hi + 1):
@@ -200,6 +140,75 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _format(value: str) -> str:
+    if value not in ("text", "json"):
+        raise ValueError(f"invalid choice: {value!r} (choose from 'text', 'json')")
+    return value
+
+
+_INPUT, _FORMAT = {"--text": ("TEXT", str, None)}, {"--format": ("text|json", _format, "text")}
+
+#: subcommand -> (handler, help line, {option: (metavar, converter, default)}, required options)
+COMMANDS = {
+    "synthesize": (_cmd_synthesize, "closed-form counting function", _INPUT | _FORMAT, ()),
+    "count": (_cmd_count, "solution count at one q",
+              _INPUT | _FORMAT | {"--q": ("Q", int, None)}, ("--q",)),
+    "gcd-porc": (_cmd_gcd_porc, "closed form of a gcd of polynomial values", _INPUT | _FORMAT, ()),
+    "table": (_cmd_table, "residue-class polynomial table", _INPUT | _FORMAT, ()),
+    "verify": (_cmd_verify, "cross-check counts against the oracles at q = LO..HI",
+               _INPUT | {"--q-range": ("LO:HI", str, "2:9")}, ()),
+}
+
+
+def _usage(command) -> str:
+    """The usage line, then the subcommands or the subcommand's help line."""
+    if command is None:
+        lines = [f"  {name:<11} {entry[1]}" for name, entry in COMMANDS.items()]
+        return "\n".join(["usage: porcfield {" + ",".join(COMMANDS) + "} [SOURCE] ...", *lines])
+    help_line, options, required = COMMANDS[command][1:]
+    words = [f"{flag} {metavar}" if flag in required else f"[{flag} {metavar}]"
+             for flag, (metavar, _, _) in options.items()]
+    return " ".join(["usage: porcfield", command, "[SOURCE]", *words]) + "\n  " + help_line
+
+
+def _exit(command, status: int, message: str = "") -> None:
+    """Print the usage (to stderr with an error message), then exit."""
+    note = f"porcfield: error: {message}" if message else (
+        "SOURCE is a file or '-' for stdin; spell options in full: --opt value or --opt=value")
+    print(_usage(command), note, sep="\n", file=sys.stderr if message else sys.stdout)
+    raise SystemExit(status)
+
+
+def _parse_args(argv: list[str]):
+    """(handler, {option name: value}) for argv; help exits 0, a usage error 1."""
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    if "-h" in argv or "--help" in argv:
+        _exit(command, EXIT_OK)
+    if command is None:
+        _exit(None, EXIT_PARSE, f"invalid subcommand {argv[0]!r}" if argv else "no subcommand")
+    handler, _, options, required = COMMANDS[command]
+    args = {"source": None} | {flag[2:]: default for flag, (_, _, default) in options.items()}
+    rest = iter(argv[1:])
+    for arg in rest:
+        flag, eq, value = arg.partition("=")
+        if (arg == "-" or not arg.startswith("-")) and args["source"] is None:
+            args["source"] = arg
+            continue
+        if flag not in options:  # a second SOURCE lands here too
+            _exit(command, EXIT_PARSE, f"unrecognized arguments: {arg}")
+        value = value if eq else next(rest, None)
+        if value is None:
+            _exit(command, EXIT_PARSE, f"argument {flag}: expected one argument")
+        try:
+            args[flag[2:]] = options[flag][1](value)
+        except ValueError as exc:
+            _exit(command, EXIT_PARSE, f"argument {flag}: {exc}")
+    missing = [flag for flag in required if args[flag[2:]] is None]
+    if missing:
+        _exit(command, EXIT_PARSE, f"the following arguments are required: {', '.join(missing)}")
+    return handler, args
+
+
 def main(argv=None) -> int:
     # an exact count can have more digits than Python's int-to-str limit
     # (4300 from 3.10.7 on, absent before) lets print; lift it for this call
@@ -207,8 +216,8 @@ def main(argv=None) -> int:
     if saved is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        handler, args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+        return handler(args)
     except ValueError as exc:  # DslSyntaxError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

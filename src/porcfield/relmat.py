@@ -90,6 +90,9 @@ def maximal_minors(rows) -> list[IntPoly]:
     if not rows or len(rows) < len(rows[0]):
         raise ValueError("fewer rows than columns")
     nrows, k = len(rows), len(rows[0])
+    for number, row in enumerate(rows):
+        if len(row) != k:
+            raise ValueError(f"row {number} has width {len(row)}, expected {k}")
     total = comb(nrows, k)
     if total > WORK_BUDGET:
         raise ScaleCapError(

@@ -153,19 +153,10 @@ def test_every_readme_cap_value_is_the_constant():
 
 
 def _cli_options():
-    """Every option string of every subcommand of ``build_parser()``, help aside."""
-    from porcfield.cli import build_parser
+    """Every option of every subcommand in ``cli.COMMANDS``, and --help, which each takes."""
+    from porcfield.cli import COMMANDS
 
-    [subcommands] = [
-        action.choices for action in build_parser()._actions if action.choices
-    ]
-    return {
-        flag
-        for sub in subcommands.values()
-        for action in sub._actions
-        for flag in action.option_strings
-        if flag not in ("-h", "--help")
-    }
+    return {flag for _, _, options, _ in COMMANDS.values() for flag in options} | {"--help"}
 
 
 def _readme_options():

@@ -77,6 +77,17 @@ class TestMinors:
             minors = maximal_minors(m)
             assert minors == [relmat._membership_poly(n) ** k]
 
+    @pytest.mark.parametrize(
+        "widths, message",
+        [((3, 2, 3), "row 1 has width 2, expected 3"), ((2, 2, 3), "row 2 has width 3, expected 2")],
+        ids=["short", "long"],
+    )
+    def test_rows_of_another_width_are_refused(self, widths, message):
+        # a short row used to raise a bare IndexError, a long one lost its extra entries
+        rows = tuple(tuple(IntPoly.constant(1 + j) for j in range(w)) for w in widths)
+        with pytest.raises(ValueError, match=message):
+            maximal_minors(rows)
+
     def test_subset_limit_raises(self, monkeypatch):
         m = build_relation_matrix([(Q2M1, ZERO), (QP1, IntPoly([-2]))], 2, 2)
         monkeypatch.setattr(relmat, "WORK_BUDGET", 5)
