@@ -31,11 +31,8 @@ from ._gfpoly import factorize, gf_is_irreducible
 from .errors import ConsistencyError, ScaleCapError
 from .system import EQ, MonomialSystem
 
-#: Cap on the tuples either oracle enumerates.
+#: Cap on the tuples either oracle enumerates, and on the order of a field built.
 MAX_TUPLES = 10**6
-
-#: Cap on the field order itself.
-MAX_FIELD_ORDER = 10**6
 
 
 def split_prime_power(q: int) -> tuple[int, int]:
@@ -116,8 +113,8 @@ def make_field(p: int, n: int) -> FieldContext:
         raise ValueError(f"{p} is not prime")
     if n < 1:
         raise ValueError("extension degree must be at least 1")
-    if p**n > MAX_FIELD_ORDER:
-        raise ScaleCapError(f"field order {p ** n} exceeds MAX_FIELD_ORDER = {MAX_FIELD_ORDER}")
+    if p**n > MAX_TUPLES:
+        raise ScaleCapError(f"field order {p ** n} exceeds MAX_TUPLES = {MAX_TUPLES}")
     for lower in range(p**n):
         coeffs = []
         m = lower

@@ -2,13 +2,16 @@
 
 Polynomials are ascending coefficient arrays; the alpha and the
 coefficients of a PORC expression are integers written as decimal strings,
-so no JSON reader rounds them.  The readers refuse any other kind of number.
+so no JSON reader rounds them.  The readers refuse any other kind of number,
+any object whose keys differ from the writer's, and a closed form that is
+not canonical, each with a ValueError that names the field.
 """
 
 from __future__ import annotations
 
+from .errors import ConsistencyError
 from .polynomial import IntPoly
-from .porc import GcdPorcFunction, PorcExpression
+from .porc import GcdPorcFunction, PorcExpression, check_porc_invariants
 from .system import CountingFunction
 
 
@@ -33,6 +36,15 @@ def _int(value, field: str) -> int:
     return value
 
 
+def _container(value, kind: type, field: str, *keys: str):
+    """value, if its type is kind; a dict must have exactly the keys the writer emits."""
+    if type(value) is not kind:
+        raise ValueError(f"{field} is of type {type(value).__name__}; expected a {kind.__name__}")
+    if kind is dict and value.keys() != set(keys):
+        raise ValueError(f"{field} has keys {list(value)}; expected {list(keys)}")
+    return value
+
+
 def _decimal(value, field: str) -> int:
     if type(value) is not str or not (value.isascii() and value.removeprefix("-").isdigit()):
         raise ValueError(f"{field} is {value!r}; expected a decimal string")
@@ -44,6 +56,7 @@ def poly_to_list(p: IntPoly) -> list[int]:
 
 
 def poly_from_list(coeffs) -> IntPoly:
+    coeffs = _container(coeffs, list, "f")
     return IntPoly(tuple(_int(c, f"coefficient {i}") for i, c in enumerate(coeffs)))
 
 
@@ -57,11 +70,17 @@ def porc_to_dict(e: PorcExpression) -> dict:
 
 
 def porc_from_dict(data: dict) -> PorcExpression:
-    terms = tuple(
-        (_decimal(t["coeff"], "coeff"), _int(t["n"], "n"), _int(t["m"], "m"))
-        for t in data["terms"]
-    )
-    return PorcExpression(alpha=_decimal(data["alpha"], "alpha"), terms=terms)
+    data = _container(data, dict, "d", "alpha", "terms")
+    terms = []
+    for number, t in enumerate(_container(data["terms"], list, "d terms")):
+        t = _container(t, dict, f"d term {number}", "coeff", "n", "m")
+        terms.append((_decimal(t["coeff"], "coeff"), _int(t["n"], "n"), _int(t["m"], "m")))
+    e = PorcExpression(alpha=_decimal(data["alpha"], "alpha"), terms=tuple(terms))
+    try:
+        check_porc_invariants(e)
+    except ConsistencyError as exc:
+        raise ValueError(f"d is not canonical: {exc}") from exc
+    return e
 
 
 def gcd_function_to_dict(g: GcdPorcFunction) -> dict:
@@ -69,9 +88,11 @@ def gcd_function_to_dict(g: GcdPorcFunction) -> dict:
 
 
 def gcd_function_from_dict(data: dict) -> GcdPorcFunction:
-    return GcdPorcFunction(
-        f=poly_from_list(data["f"]), d=porc_from_dict(data["d"]), m=_int(data["m"], "m")
-    )
+    data = _container(data, dict, "gcd function", "f", "d", "m")
+    m = _int(data["m"], "m")
+    if m < 1:
+        raise ValueError(f"m is {m}; expected an integer >= 1")
+    return GcdPorcFunction(f=poly_from_list(data["f"]), d=porc_from_dict(data["d"]), m=m)
 
 
 def counting_function_to_dict(cf: CountingFunction) -> dict:
@@ -83,8 +104,10 @@ def counting_function_to_dict(cf: CountingFunction) -> dict:
 
 
 def counting_function_from_dict(data: dict) -> CountingFunction:
+    data = _container(data, dict, "counting function", "terms")
     terms = []
-    for number, t in enumerate(data["terms"]):
+    for number, t in enumerate(_container(data["terms"], list, "terms")):
+        t = _container(t, dict, f"term {number}", "sign", "g")
         sign = t["sign"]
         # render prints a term's sign, never a magnitude
         if type(sign) is not int or sign not in (1, -1):

@@ -295,8 +295,8 @@ def synthesize_gcd_function(fs, fold: tuple[IntPoly, int] | None = None) -> GcdP
     each prime's local expression 1 + sum over classes c mod p^j of
     gcd(x-c, p^j) - gcd(x-c, p^(j-1)), built merged; zeros are dropped.  The
     moduli of different primes are coprime, so the CRT map is one to one:
-    every product key is distinct and d is canonical once sorted.
-    TERM_BUDGET bounds the keys of each product.
+    every product key is distinct, d is canonical once sorted, and TERM_BUDGET
+    can refuse a product of len(d) times the nonzero local keys before it is built.
     """
     f, m0 = _gcd_fold(fs) if fold is None else fold
     hs = [p for p in fs if p]
@@ -324,17 +324,17 @@ def synthesize_gcd_function(fs, fold: tuple[IntPoly, int] | None = None) -> GcdP
                 local[p * pj1, c] = 1
                 parent = (pj1, c % pj1)
                 local[parent] = local.get(parent, 0) - 1
-        new = {
+        local = {key: c for key, c in local.items() if c}
+        terms = len(d) * len(local)
+        if terms > TERM_BUDGET:
+            raise ScaleCapError(
+                f"{terms} factored synthesis terms exceed TERM_BUDGET = {TERM_BUDGET}"
+            )
+        d = {
             (m1 * m2, _crt(r1, m1, r2, m2)): c1 * c2
             for (m1, r1), c1 in d.items()
             for (m2, r2), c2 in local.items()
-            if c2
         }
-        if len(new) > TERM_BUDGET:
-            raise ScaleCapError(
-                f"{len(new)} factored synthesis terms exceed TERM_BUDGET = {TERM_BUDGET}"
-            )
-        d = new
     alpha = d.pop((1, 0), 0)
     expr = PorcExpression(alpha, tuple((c, n, m) for (m, n), c in sorted(d.items())))
     check_porc_invariants(expr)

@@ -1,4 +1,4 @@
-"""Smith normal form of integer matrices via exact gcd pivoting.
+"""Smith normal form of integer matrices: row echelon and transpose, then gcd/lcm.
 
 Matrices are plain sequences of rows of Python ints, so there is no
 precision limit.  Only the elementary-divisor chain is computed; the
@@ -6,6 +6,9 @@ unimodular transforms are not tracked.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
+from math import gcd, lcm
 
 from .errors import ConsistencyError
 
@@ -20,74 +23,48 @@ def _validate(rows) -> list[list[int]]:
     return mat
 
 
+def _echelon(rows) -> list:
+    """An integer row echelon of rows, by Euclid on rows; zero rows are dropped."""
+    pivots = {}
+    for row in rows:
+        for j in range(len(row)):
+            if not row[j]:
+                continue
+            if j not in pivots:
+                pivots[j] = row
+                break
+            pivot = pivots[j]
+            # subtract before any swap: a pivot that divides row[j] stays as it
+            # is, which the passes of smith_normal_form need in order to end
+            while row[j]:
+                q = row[j] // pivot[j]
+                row = [x - q * y for x, y in zip(row, pivot)]
+                if row[j]:
+                    row, pivot = pivot, row
+            pivots[j] = pivot
+    return [pivots[j] for j in sorted(pivots)]
+
+
 def smith_normal_form(rows) -> list[int]:
     """Elementary divisors d_1 | d_2 | ... of the matrix, one per column.
 
-    Divisors are reported nonnegative; if the rank is smaller than the
-    number of columns the chain is padded with trailing zeros.
+    An integer row echelon, then a transpose, repeated until the matrix is
+    diagonal: each pass can only shrink the corner entry, and once it does
+    not, the corner divides its row and its column and they are clear.  The
+    diagonal's pairs (d_i, d_j), i < j, then become (gcd, lcm).  Divisors are
+    reported nonnegative; if the rank is smaller than the number of columns
+    the chain is padded with trailing zeros.
     """
     a = _validate(rows)
-    r, k = len(a), len(a[0])
-    divisors: list[int] = []
-    for t in range(min(r, k)):
-        while True:
-            # smallest nonzero entry of the trailing submatrix becomes the pivot
-            best = None
-            for i in range(t, r):
-                for j in range(t, k):
-                    v = a[i][j]
-                    if v and (best is None or abs(v) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                break
-            bi, bj = best
-            if bi != t:
-                a[bi], a[t] = a[t], a[bi]
-            if bj != t:
-                for row in a:
-                    row[bj], row[t] = row[t], row[bj]
-            pivot = a[t][t]
-            # clear the pivot column; a nonzero remainder becomes the new, smaller pivot
-            dirty = False
-            for i in range(t + 1, r):
-                if a[i][t]:
-                    q = a[i][t] // pivot
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        a[i], a[t] = a[t], a[i]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, k):
-                if a[t][j]:
-                    q = a[t][j] // pivot
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in a:
-                            row[j], row[t] = row[t], row[j]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # pivot must divide every remaining entry to keep the chain
-            fixup = None
-            for i in range(t + 1, r):
-                for j in range(t + 1, k):
-                    if a[i][j] % pivot:
-                        fixup = i
-                        break
-                if fixup is not None:
-                    break
-            if fixup is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[fixup])]
-        if best is None:
+    k = len(a[0])
+    while True:
+        a = _echelon(a)
+        if all(row[i] and not any(row[i + 1 :]) for i, row in enumerate(a)):
             break
-        divisors.append(abs(a[t][t]))
+        a = list(zip(*a))
+    divisors = [abs(row[i]) for i, row in enumerate(a)]
+    for i, j in combinations(range(len(divisors)), 2):
+        divisors[i], divisors[j] = gcd(divisors[i], divisors[j]), lcm(divisors[i], divisors[j])
     divisors += [0] * (k - len(divisors))
     for i in range(k - 1):
         if divisors[i + 1] and divisors[i + 1] % max(divisors[i], 1):

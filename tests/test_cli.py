@@ -528,6 +528,21 @@ class TestJsonRoundTrips:
             (("d", "terms", 0, "coeff"), 1.5, "coeff is 1.5; expected a decimal string"),
             (("d", "terms", 0, "coeff"), " 1", "coeff is ' 1'; expected a decimal string"),
             (("d", "terms", 0, "coeff"), "-", "coeff is '-'; expected a decimal string"),
+            # a closed form the writer would never emit: not canonical, or not its shape
+            (("m",), 0, "m is 0; expected an integer >= 1"),
+            (("m",), -3, "m is -3; expected an integer >= 1"),
+            (("d", "terms", 0, "n"), 5, "d is not canonical: shift 5 outside \\[0, 2\\)"),
+            (("d", "terms", 0, "coeff"), "0", "d is not canonical: zero coefficient retained"),
+            (("d", "terms", 0, "m"), 1, "d is not canonical: modulus 1 must exceed 1"),
+            (("d", "terms"), [{"coeff": "1", "n": 1, "m": 2}, {"coeff": "2", "n": 1, "m": 2}],
+             "d is not canonical: duplicate term \\(1, 2\\)"),
+            (("d",), {"alpha": "-1"}, "d has keys \\['alpha'\\]; expected \\['alpha', 'terms'\\]"),
+            (("d", "terms", 0, "shift"), 1, "d term 0 has keys"),
+            (("d", "terms"), {}, "d terms is of type dict; expected a list"),
+            (("d", "terms", 0), ["1", 1, 2], "d term 0 is of type list; expected a dict"),
+            (("f",), 5, "f is of type int; expected a list"),
+            (("x",), 1, "gcd function has keys \\['f', 'd', 'm', 'x'\\]; expected"),
+            ((), [[-1, 1], "-1", 1], "gcd function is of type list; expected a dict"),
         ],
     )
     def test_gcd_function_refuses_a_number_that_is_not_an_integer(self, path, value, message):
@@ -535,11 +550,14 @@ class TestJsonRoundTrips:
         data = {"f": [-1, 1], "d": {"alpha": "-1", "terms": [{"coeff": "1", "n": 1, "m": 2}]},
                 "m": 1}
         assert gcd_function_from_dict(data).render() == "(-1+gcd(q-1,2))*(q-1)"
-        *parents, last = path
-        node = data
-        for key in parents:
-            node = node[key]
-        node[last] = value
+        if not path:
+            data = value
+        else:
+            *parents, last = path
+            node = data
+            for key in parents:
+                node = node[key]
+            node[last] = value
         with pytest.raises(ValueError, match=message):
             gcd_function_from_dict(data)
 

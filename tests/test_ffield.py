@@ -85,7 +85,7 @@ class TestMakeField:
     def test_scale_cap(self):
         with pytest.raises(ScaleCapError) as info:
             make_field(2, 21)
-        assert str(info.value) == "field order 2097152 exceeds MAX_FIELD_ORDER = 1000000"
+        assert str(info.value) == "field order 2097152 exceeds MAX_TUPLES = 1000000"
 
     def test_no_irreducible_modulus_is_consistency_error(self, monkeypatch):
         monkeypatch.setattr(ffield, "gf_is_irreducible", lambda a, p: False)

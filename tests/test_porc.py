@@ -1,11 +1,12 @@
 """The closed-form gcd engine: indicators, synthesis, tables; the profile oracle."""
 
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from porcfield import (
     GcdPorcFunction,
@@ -221,6 +222,25 @@ def test_term_budget_bounds_the_terms_kept(monkeypatch):
     monkeypatch.setattr(porc, "TERM_BUDGET", 3)
     g = synthesize_gcd_function([P("x^2"), P("x^2+4")])
     assert str(g.d) == "-gcd(q,2)+gcd(q,4)+gcd(q-2,4)"
+
+
+PRIMES_BELOW_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.sampled_from(PRIMES_BELOW_50), st.sampled_from(PRIMES_BELOW_50))
+@example(4, 11, 13)
+def test_synthesis_answers_or_refuses_within_five_seconds(a, p1, p2):
+    # the CRT product of the two primes' local expressions of gcd(x^a, (p1*p2)^a)
+    # can reach millions of terms (3484320 for 143^4), which TERM_BUDGET must
+    # refuse before they are built
+    start = time.perf_counter()
+    try:
+        synthesize_gcd_function([P(f"x^{a}"), IntPoly([(p1 * p2) ** a])])
+    except ScaleCapError as exc:
+        if (a, p1, p2) == (4, 11, 13):
+            assert str(exc) == "3484320 factored synthesis terms exceed TERM_BUDGET = 200000"
+    assert time.perf_counter() - start < 5
 
 
 def test_gcd_that_does_not_divide_is_a_consistency_error(monkeypatch):

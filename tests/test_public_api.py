@@ -141,14 +141,14 @@ def _readme_cap_values():
 
 def test_every_cap_is_in_the_readme_and_every_listed_cap_exists():
     caps, listed = _package_caps(), _readme_caps()
-    assert {"CLASS_BUDGET", "TERM_BUDGET", "MAX_FIELD_ORDER"} <= caps
+    assert {"CLASS_BUDGET", "TERM_BUDGET", "MAX_TUPLES"} <= caps
     assert not caps - listed, "caps missing from the README"
     assert not listed - caps, "README caps the package does not define"
 
 
 def test_every_readme_cap_value_is_the_constant():
     values = _readme_cap_values()
-    assert len(values) == 7
+    assert len(values) == 6
     assert values == _package_cap_values()
 
 

@@ -1,8 +1,11 @@
-"""Smith normal form: examples, unimodular invariance, divisor chains."""
+"""Smith normal form: examples, unimodular invariance, divisor chains, minors."""
 
 import random
+from itertools import combinations, permutations
+from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from porcfield import smith_normal_form
 
@@ -24,6 +27,21 @@ class TestExamples:
 
     def test_wide_matrix(self):
         assert smith_normal_form([[1, 0, 0]]) == [1, 0, 0]
+
+    @pytest.mark.parametrize(
+        "rows, divisors",
+        [
+            ([[-2, 2, 4], [4, -5, 2]], [1, 2, 0]),
+            ([[-2, -4, -5], [-4, 1, 4], [1, 4, -1], [2, -1, 6]], [1, 1, 1]),
+            ([[4, -5, 6], [-1, -1, 6], [-6, 5, 1]], [1, 1, 15]),
+        ],
+    )
+    def test_pivot_that_divides_its_entry_is_kept(self, rows, divisors):
+        # the echelon subtracts before any swap, so a pivot row that divides
+        # the entry below it stays as it is; an echelon that swaps first, or
+        # that applies the extended-gcd 2x2 transform, never reaches a
+        # diagonal on the last two
+        assert smith_normal_form(rows) == divisors
 
 
 class TestValidation:
@@ -92,3 +110,37 @@ def test_divisibility_chain_always_holds():
             elif b != 0:
                 assert b % a == 0
         assert all(d >= 0 for d in divisors)
+
+
+def _determinant(m):
+    """Leibniz expansion: the signed sum over permutations of products of entries."""
+    total = 0
+    for perm in permutations(range(len(m))):
+        inversions = sum(perm[a] > perm[b] for a, b in combinations(range(len(perm)), 2))
+        total += (-1) ** inversions * prod(m[i][p] for i, p in enumerate(perm))
+    return total
+
+
+matrices = st.integers(1, 4).flatmap(
+    lambda k: st.lists(
+        st.lists(st.integers(-20, 20), min_size=k, max_size=k), min_size=1, max_size=4
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices)
+def test_divisor_products_are_the_gcds_of_minors(mat):
+    # d_1 * ... * d_i = D_i, the gcd of all i x i minors, up to the rank; past it d_i = 0
+    divisors = smith_normal_form(mat)
+    r, k = len(mat), len(mat[0])
+    for i in range(1, k + 1):
+        d_i = gcd(*(
+            _determinant([[mat[a][b] for b in cols] for a in rows])
+            for rows in combinations(range(r), i)
+            for cols in combinations(range(k), i)
+        ))
+        if d_i:
+            assert prod(divisors[:i]) == d_i, (i, divisors)
+        else:
+            assert divisors[i - 1] == 0, (i, divisors)
