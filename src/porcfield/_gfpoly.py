@@ -14,8 +14,6 @@ division, the Baillie-PSW primality test and Pollard-Brent rho under
 oracle's generator test and ``gf_is_irreducible``.
 """
 
-from __future__ import annotations
-
 from itertools import compress
 from math import gcd, isqrt
 

@@ -5,8 +5,6 @@ Subcommands: synthesize, count, gcd-porc, table, verify.  Exit codes:
 exceeded, 3 verification mismatch or internal consistency error.
 """
 
-from __future__ import annotations
-
 import sys
 
 from ._gfpoly import factorize

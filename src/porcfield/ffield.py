@@ -20,8 +20,6 @@ and ``factorize``, for primality and the prime factors of the group order.
 ``count_at`` and the exponent oracle use none of this arithmetic.
 """
 
-from __future__ import annotations
-
 from collections import Counter, defaultdict
 from itertools import islice, product
 from math import gcd
@@ -29,6 +27,7 @@ from operator import ne
 
 from ._gfpoly import factorize, gf_is_irreducible
 from .errors import ConsistencyError, ScaleCapError
+from .polynomial import _int
 from .system import EQ, MonomialSystem
 
 #: Cap on the tuples either oracle enumerates, and on the order of a field built.
@@ -221,7 +220,7 @@ def brute_force_count(system: MonomialSystem, q0: int) -> int:
     admits every position of the last unknown.  ``MAX_TUPLES`` is checked
     before q0 is factored, and a system without relations builds no field.
     """
-    group = q0**system.n - 1
+    group = _int(q0, "q") ** system.n - 1
     if group**system.k > MAX_TUPLES:
         raise ScaleCapError(
             f"{group}^{system.k} field tuples exceed MAX_TUPLES = {MAX_TUPLES}"
@@ -284,7 +283,7 @@ def exponent_space_count(system: MonomialSystem, q0: int) -> int:
     and nonzero in every inequation coordinate.  ``MAX_TUPLES`` still counts
     the (q0^n - 1)^k tuples this covers, not histogram entries.
     """
-    if q0 < 2:
+    if _int(q0, "q") < 2:
         raise ValueError("q must be at least 2")
     modulus = q0**system.n - 1
     if modulus**system.k > MAX_TUPLES:

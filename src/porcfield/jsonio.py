@@ -7,10 +7,8 @@ any object whose keys differ from the writer's, and a closed form that is
 not canonical, each with a ValueError that names the field.
 """
 
-from __future__ import annotations
-
 from .errors import ConsistencyError
-from .polynomial import IntPoly
+from .polynomial import IntPoly, _int
 from .porc import GcdPorcFunction, PorcExpression, check_porc_invariants
 from .system import CountingFunction
 
@@ -28,12 +26,6 @@ def dumps(obj) -> str:
     if kind is dict and all(type(key) is str for key in obj):
         return "{" + ", ".join(f"{dumps(k)}: {dumps(v)}" for k, v in obj.items()) + "}"
     raise TypeError(f"cannot write {obj!r} ({kind.__name__}) as JSON")
-
-
-def _int(value, field: str) -> int:
-    if type(value) is not int:
-        raise ValueError(f"{field} is {value!r}; expected an integer")
-    return value
 
 
 def _container(value, kind: type, field: str, *keys: str):

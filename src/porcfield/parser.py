@@ -17,8 +17,6 @@ accepted as a convenience.  The same intpoly rules, with any one identifier
 in place of "q", parse standalone polynomials (``parse_intpoly``).
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .polynomial import IntPoly

@@ -7,8 +7,6 @@ Coefficient lists are stored ascending by degree; the zero polynomial has
 an empty coefficient tuple.
 """
 
-from __future__ import annotations
-
 from math import gcd
 
 
@@ -18,7 +16,7 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [int(c) for c in coeffs]
+        cs = [c if type(c) is int else _int(c, "a coefficient") for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -133,6 +131,13 @@ class IntPoly:
 
     def __repr__(self):
         return f"IntPoly({list(self.coeffs)!r})"
+
+
+def _int(value, field: str) -> int:
+    """value, if its type is int; a bool, float, str or Fraction raises ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{field} is {value!r}; expected an integer")
+    return value
 
 
 def _signed_sum(terms, spaced: bool = False) -> str:

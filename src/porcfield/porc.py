@@ -27,8 +27,6 @@ ScaleCapError; a modulus of 2^64 or more is first cut down by
 ``_shrink_modulus``.
 """
 
-from __future__ import annotations
-
 from math import gcd, lcm
 
 from ._gfpoly import factorize, gf_eval, gf_from_coeffs, gf_roots
@@ -39,8 +37,8 @@ from .polynomial import IntPoly, _ext_euclid, _signed_sum, content_and_primitive
 # Not called here; the benchmark's tracer wraps porcfield.porc.bezout_cofactors.
 from .polynomial import bezout_cofactors  # noqa: F401
 
-#: Caps on intermediate sizes in the factored construction.
-CLASS_BUDGET = 20_000
+#: Most terms of d the factored construction builds.  Every solution class of
+#: a prime power keeps a term of d, so this bounds the classes too.
 TERM_BUDGET = 200_000
 #: Most residue classes porc_to_residue_table builds, one row each.
 TABLE_ROW_CAP = 100_000
@@ -204,6 +202,16 @@ def _solution_levels(hs, p: int, e: int) -> list[list[int]]:
     survive are cut out by the linear congruences
     h_i(c) + t*p^j*h_i'(c) = 0 mod p^(j+1) (exact for j >= 1 since the
     quadratic correction has valuation 2j).
+
+    A level of more than TERM_BUDGET classes is refused while it is built,
+    and that refuses no input the exact count in synthesize_gcd_function
+    would let through.  In the prime's local expression each class's key is
+    +1, and -1 for each of its children, so it is zero only on a class with
+    exactly one child.  Following single children down from any class ends
+    at a class with no child or with several, whose key is nonzero; the
+    classes of one level have disjoint descendants, so the local expression
+    has at least as many terms as any level has classes, and the CRT
+    product, len(d) >= 1 times as many.
     """
     rest = iter(hs)
     first: list[int] = []
@@ -246,9 +254,9 @@ def _solution_levels(hs, p: int, e: int) -> list[list[int]]:
                 continue
             # a singular lift keeps all p children, a regular one a single child
             size = len(cur) + (p if t_fixed is None else 1)
-            if size > CLASS_BUDGET:
+            if size > TERM_BUDGET:
                 raise ScaleCapError(
-                    f"{size} solution classes mod {p}^{j} exceed CLASS_BUDGET = {CLASS_BUDGET}"
+                    f"{size} solution classes mod {p}^{j} exceed TERM_BUDGET = {TERM_BUDGET}"
                 )
             if t_fixed is None:
                 cur.extend(c + t * pj1 for t in range(p))

@@ -13,14 +13,12 @@ expansion that builds the j x j minors on the first j columns from the
 (j-1) x (j-1) ones, memoized by row subset.  No division is ever needed.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left
 from itertools import combinations
 from math import comb
 
 from .errors import ScaleCapError
-from .polynomial import IntPoly
+from .polynomial import IntPoly, _int
 
 #: Most maximal minors one expansion may ask for: C(r, k) in one
 #: maximal_minors call, and W, their sum over a system's inclusion-exclusion
@@ -105,6 +103,6 @@ def maximal_minors(rows) -> list[IntPoly]:
 
 def evaluate_matrix(rows, q0: int) -> list[list[int]]:
     """Entrywise evaluation at q0, giving a plain integer matrix."""
-    if q0 <= 1:
+    if _int(q0, "q") <= 1:
         raise ValueError("degenerate modulus: q^n - 1 <= 0 for q <= 1")
     return [[p(q0) for p in row] for row in rows]

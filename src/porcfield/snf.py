@@ -5,16 +5,15 @@ precision limit.  Only the elementary-divisor chain is computed; the
 unimodular transforms are not tracked.
 """
 
-from __future__ import annotations
-
 from itertools import combinations
 from math import gcd, lcm
 
 from .errors import ConsistencyError
+from .polynomial import _int
 
 
 def _validate(rows) -> list[list[int]]:
-    mat = [list(map(int, r)) for r in rows]
+    mat = [[_int(x, "a matrix entry") for x in r] for r in rows]
     if not mat or not mat[0]:
         raise ValueError("matrix must have at least one row and one column")
     width = len(mat[0])

@@ -14,15 +14,13 @@ system's shape and checked against relmat.WORK_BUDGET, the budget that also
 bounds one maximal_minors call.
 """
 
-from __future__ import annotations
-
 from itertools import combinations
 from math import comb, prod
 
 from . import relmat
 from ._record import Record
 from .errors import ConsistencyError, ScaleCapError
-from .polynomial import IntPoly, _signed_sum
+from .polynomial import IntPoly, _int, _signed_sum
 from .porc import PORC_ONE, GcdPorcFunction, _gcd_fold, synthesize_gcd_function
 from .relmat import build_relation_matrix, evaluate_matrix, maximal_minors
 from .snf import smith_normal_form
@@ -157,7 +155,7 @@ def _inclusion_exclusion(system: MonomialSystem):
 
 def count_at(system: MonomialSystem, q0: int) -> int:
     """Number of solutions at the concrete q0: one Smith normal form per subset."""
-    if q0 < 2:
+    if _int(q0, "q") < 2:
         raise ValueError("q must be at least 2")
     matrix, subsets = _inclusion_exclusion(system)
     evaluated = evaluate_matrix(matrix, q0)
@@ -205,7 +203,7 @@ def synthesize_counting_function(system: MonomialSystem) -> CountingFunction:
 
 def counting_eval(cf: CountingFunction, q0: int) -> int:
     """Exact value of the counting function at q0 (any integer >= 2)."""
-    if q0 < 2:
+    if _int(q0, "q") < 2:
         raise ValueError("q must be at least 2")
     total = sum(sign * g.value_at(q0) for sign, g in cf.terms)
     if total < 0:

@@ -125,6 +125,13 @@ class TestGcdPorc:
         assert main(["gcd-porc", "--text", "x^2+x\nx^2-x"]) == 0
         assert capsys.readouterr().out.strip() == "gcd(x-1,2)*x"
 
+    def test_singular_lift_past_twenty_thousand_classes_answers(self, capsys):
+        # 20011 classes mod 20011^2 and one mod 20011: d keeps 20012 terms
+        assert main(["gcd-porc", "--text", "x^2\nx^2+400440121"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("(-20010*gcd(x,20011)+gcd(x,400440121)+gcd(x-20011,400440121)+")
+        assert out.count("gcd(") == 20012
+
     def test_zero_shift_prints_one_term(self, capsys):
         assert main(["gcd-porc", "--text", "x\n10007"]) == 0
         assert capsys.readouterr().out == "gcd(x,10007)\n"

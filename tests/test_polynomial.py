@@ -2,6 +2,7 @@
 
 import random
 import re
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -32,6 +33,14 @@ class TestEvalPoly:
     def test_huge_point_is_exact(self):
         x = 10**30
         assert P("q^3-q")(x) == x**3 - x
+
+
+class TestCoefficients:
+    @pytest.mark.parametrize("coeffs", [[2.5, True], [1, True], [3.0], ["3"], [Fraction(3)]])
+    def test_non_int_coefficients_rejected(self, coeffs):
+        # int() would have read [2.5, True] as q+2
+        with pytest.raises(ValueError, match="expected an integer"):
+            IntPoly(coeffs)
 
 
 class TestContentAndPrimitive:

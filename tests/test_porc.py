@@ -197,9 +197,9 @@ def test_factored_construction_agrees_with_literal():
         _check_against_oracle(fs, g)
 
 
-@pytest.mark.parametrize("cap, value", [("CLASS_BUDGET", 0), ("TERM_BUDGET", 1)])
+@pytest.mark.parametrize("cap, value", [("TERM_BUDGET", 1)])
 def test_factored_size_caps_raise_scale_cap_error(monkeypatch, cap, value):
-    # x^2 and x^2+4 need a singular two-level lift at p = 2, which reaches both caps
+    # x^2 and x^2+4 need a singular two-level lift at p = 2, two classes mod 4
     monkeypatch.setattr(porc, cap, value)
     with pytest.raises(ScaleCapError, match=cap):
         synthesize_gcd_function([P("x^2"), P("x^2+4")])
@@ -207,7 +207,7 @@ def test_factored_size_caps_raise_scale_cap_error(monkeypatch, cap, value):
 
 def test_singular_lift_at_a_large_prime_keeps_every_child():
     # x^2 and x^2 + p^2 vanish together on every multiple of p mod p^2: a
-    # singular lift with p children, bounded by CLASS_BUDGET alone
+    # singular lift with p children, each of which keeps a term of d
     p = 3001
     fs = [P("x^2"), P(f"x^2+{p * p}")]
     g = synthesize_gcd_function(fs)
@@ -222,6 +222,24 @@ def test_term_budget_bounds_the_terms_kept(monkeypatch):
     monkeypatch.setattr(porc, "TERM_BUDGET", 3)
     g = synthesize_gcd_function([P("x^2"), P("x^2+4")])
     assert str(g.d) == "-gcd(q,2)+gcd(q,4)+gcd(q-2,4)"
+
+
+@pytest.mark.parametrize("p", [20011, 199999, 200003])
+def test_singular_lift_answers_up_to_term_budget_classes_and_refuses_past_it(p):
+    # p classes mod p^2 keep p terms of d, plus the one mod p: a level past
+    # TERM_BUDGET is refused before its classes are lifted further
+    fs = [P("x^2"), P(f"x^2+{p * p}")]
+    start = time.perf_counter()
+    if p > porc.TERM_BUDGET:
+        with pytest.raises(ScaleCapError) as refused:
+            synthesize_gcd_function(fs)
+        assert str(refused.value) == f"{p} solution classes mod {p}^2 exceed TERM_BUDGET = 200000"
+    else:
+        g = synthesize_gcd_function(fs)
+        assert len(g.d.terms) == p + 1
+        for x in [0, p, 3 * p + 1, p * p, 12345]:
+            assert g.value_at(x) == gcd(x * x, x * x + p * p), x
+    assert time.perf_counter() - start < 5
 
 
 PRIMES_BELOW_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]

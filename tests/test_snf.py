@@ -1,6 +1,7 @@
 """Smith normal form: examples, unimodular invariance, divisor chains, minors."""
 
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd, prod
 
@@ -52,6 +53,14 @@ class TestValidation:
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             smith_normal_form([[1, 2], [3]])
+
+    @pytest.mark.parametrize(
+        "rows", [[[2.5, 0], [0, True]], [[2, 0], [0, True]], [["7", 3]], [[Fraction(4), 2]]]
+    )
+    def test_non_int_entries_rejected(self, rows):
+        # int() would have read 2.5 as 2, True as 1 and "7" as 7
+        with pytest.raises(ValueError, match="expected an integer"):
+            smith_normal_form(rows)
 
 
 def _random_matrix(rng, max_dim=5, bound=30):

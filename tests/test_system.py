@@ -2,6 +2,7 @@
 
 import random
 import re
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -18,9 +19,12 @@ from porcfield import (
     MonomialSystem,
     ScaleCapError,
     bezout_cofactors,
+    brute_force_count,
     build_relation_matrix,
     count_at,
     counting_eval,
+    evaluate_matrix,
+    exponent_space_count,
     make_system,
     maximal_minors,
     parse_poly,
@@ -116,6 +120,11 @@ class TestSystemType:
         with pytest.raises(ValueError):
             make_system(2, 1, eqs=[(1,)])
 
+    def test_non_int_exponent_rejected(self):
+        # int() would have read 2.9 as 2 and counted x^2 = 1
+        with pytest.raises(ValueError, match="expected an integer"):
+            make_system(1, 1, eqs=[[2.9]])
+
     def test_default_variable_names(self):
         assert make_system(3, 1).variables == ("x1", "x2", "x3")
 
@@ -149,6 +158,25 @@ class TestCountAt:
         refused = r"blow-up: at least 2\^16012 family members \(k=1, e=0, s=16000\)"
         with pytest.raises(ScaleCapError, match=refused):
             count_at(system, 3)
+
+
+@pytest.mark.parametrize("q", [float(2**61 - 1), 3.0, True, "3", Fraction(3)])
+def test_non_int_q_rejected_at_every_entry_point(quadratic_system, q):
+    # float(2^61 - 1) is 2^61, another q: a count there differs from the 19th digit
+    system = quadratic_system
+    cf = synthesize_counting_function(system)
+    matrix = build_relation_matrix([r.exponents for r in system.relations], system.k, system.n)
+    entry_points = [
+        lambda: count_at(system, q),
+        lambda: counting_eval(cf, q),
+        lambda: cf(q),
+        lambda: evaluate_matrix(matrix, q),
+        lambda: exponent_space_count(system, q),
+        lambda: brute_force_count(system, q),
+    ]
+    for call in entry_points:
+        with pytest.raises(ValueError, match="q is .*; expected an integer"):
+            call()
 
 
 class TestSynthesize:
