@@ -13,7 +13,6 @@ from math import gcd
 from porcfield import (
     IntPoly,
     bezout_cofactors,
-    build_indicator,
     parse_poly,
     porc_eval,
     synthesize_gcd_function,
@@ -40,22 +39,6 @@ print("\nx | gcd(f1(x), f2(x)) | d(x)*|f(x)|")
 for x in range(2, 10):
     direct = gcd(family[0](x), family[1](x))
     print(f"{x} | {direct:17d} | {g.value_at(x):11d}")
-
-###############################################################################
-# Indicator expressions
-# ---------------------
-# For a modulus m, a signed sum of gcd(x, m/d) terms over squarefree d
-# vanishes on every nonzero class and equals Euler's totient at 0 mod m.
-# It is an expression of the same gcd-combination form as d.  The reference
-# construction in tests/literal_oracle.py sums shifted indicators, one per
-# residue class.  The synthesis itself adds, for each class c mod p^j where
-# the family over f and its content vanishes, the difference
-# gcd(x-c, p^j) - gcd(x-c, p^(j-1)).
-
-indicator = build_indicator(12)
-print(f"\nindicator for modulus 12: {indicator.render('x')}")
-print("x:      ", list(range(1, 13)))
-print("values: ", [int(porc_eval(indicator, x)) for x in range(1, 13)])
 
 ###############################################################################
 # A family with a large modulus

@@ -26,8 +26,6 @@ from .polynomial import (
 from .porc import (
     GcdPorcFunction,
     PorcExpression,
-    build_indicator,
-    porc_canonicalize,
     porc_eval,
     porc_to_residue_table,
     synthesize_gcd_function,
@@ -63,7 +61,6 @@ __all__ = [
     "ScaleCapError",
     "bezout_cofactors",
     "brute_force_count",
-    "build_indicator",
     "build_relation_matrix",
     "content_and_primitive",
     "count_at",
@@ -75,7 +72,6 @@ __all__ = [
     "maximal_minors",
     "parse_poly",
     "parse_system",
-    "porc_canonicalize",
     "porc_eval",
     "porc_to_residue_table",
     "smith_normal_form",

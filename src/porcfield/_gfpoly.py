@@ -9,9 +9,10 @@ test, to pick its modulus; its GF(p^n) product is ``FieldContext.mul``.
 
 ``factorize`` is the one integer factorization in the package: trial
 division, the Baillie-PSW primality test and Pollard-Brent rho under
-``FACTOR_STEP_CAP``.  It factors ``porc``'s Bezout moduli and serves
-``split_prime_power``, ``make_field``'s primality check, the field
-oracle's generator test and ``gf_is_irreducible``.
+``FACTOR_STEP_CAP``.  It factors the modulus of ``porc``'s gcd fold, once
+``_shrink_modulus`` has cut it down, and serves ``split_prime_power``,
+``make_field``'s primality check, the field oracle's generator test and
+``gf_is_irreducible``.
 """
 
 from itertools import compress

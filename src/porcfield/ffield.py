@@ -95,15 +95,9 @@ class FieldContext:
             e >>= 1
         return result
 
-    def inverse(self, a):
-        return self.pow(a, self.order - 2)
-
     def elements(self):
         for coeffs in product(range(self.p), repeat=self.n):
             yield coeffs
-
-    def nonzero_elements(self):
-        return [el for el in self.elements() if el != self.zero]
 
 
 def make_field(p: int, n: int) -> FieldContext:

@@ -93,16 +93,6 @@ class IntPoly:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def __pow__(self, n: int) -> "IntPoly":
-        result = IntPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __call__(self, x: int) -> int:
         """Evaluate at an integer point (Horner)."""
         acc = 0

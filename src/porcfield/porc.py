@@ -52,9 +52,6 @@ class PorcExpression(Record):
     alpha: int
     terms: tuple[tuple[int, int, int], ...]
 
-    def __call__(self, x: int) -> int:
-        return porc_eval(self, x)
-
     def render(self, var: str = "q") -> str:
         alpha = [(self.alpha, "")] if self.alpha else []
         terms = [(c, f"gcd({var}-{n},{m})" if n else f"gcd({var},{m})") for c, n, m in self.terms]
@@ -100,39 +97,12 @@ class GcdPorcFunction(Record):
         return self.render()
 
 
-def build_indicator(m: int) -> PorcExpression:
-    """Sum of mu(d) * gcd(x, m/d) over squarefree d | m.
-
-    Its value is Euler's totient of m on the class 0 mod m and 0 elsewhere.
-    """
-    if m <= 1:
-        raise ValueError("indicator modulus must exceed 1")
-    raw = [(1, 0, m)]
-    for p in factorize(m):
-        raw += [(-coeff, 0, mod // p) for coeff, _, mod in raw]
-    return porc_canonicalize(PorcExpression(0, tuple(raw)))
-
-
 def porc_eval(e: PorcExpression, x: int) -> int:
     """Exact value of the expression; gcd(0, m) is taken as m."""
     acc = e.alpha
     for coeff, n, m in e.terms:
         acc += coeff * gcd(x - n, m)
     return acc
-
-
-def porc_canonicalize(e: PorcExpression) -> PorcExpression:
-    """Reduce shifts into [0, m_i), fold m_i = 1 into alpha, merge and drop terms."""
-    alpha = e.alpha
-    merged: dict[tuple[int, int], int] = {}
-    for coeff, n, m in e.terms:
-        if m == 1:
-            alpha += coeff
-        else:
-            key = (m, n % m)
-            merged[key] = merged.get(key, 0) + coeff
-    terms = tuple((coeff, n, m) for (m, n), coeff in sorted(merged.items()) if coeff)
-    return PorcExpression(alpha=alpha, terms=terms)
 
 
 def check_porc_invariants(e: PorcExpression) -> None:
@@ -228,6 +198,11 @@ def _solution_levels(hs, p: int, e: int) -> list[list[int]]:
         level = [c for c in level if gf_eval(h.coeffs, c, p) == 0]
     if not level:
         return []
+    if e > 1:
+        # members equal mod p^e have the same values mod p^j and slopes mod p
+        # at every level, so one of them cuts out the same classes
+        pe = p**e
+        hs = list({tuple(c % pe for c in h.coeffs): h for h in hs}.values())
     levels = [level]
     for j in range(2, e + 1):
         pj, pj1 = p**j, p ** (j - 1)
@@ -349,20 +324,15 @@ def synthesize_gcd_function(fs, fold: tuple[IntPoly, int] | None = None) -> GcdP
     return GcdPorcFunction(f=f, d=expr, m=stored_m)
 
 
-def porc_to_residue_table(obj) -> tuple[int, list[IntPoly]]:
-    """Collapse to one plain integer polynomial per residue class.
+def porc_to_residue_table(cf) -> tuple[int, list[IntPoly]]:
+    """Collapse a counting function to one plain integer polynomial per residue class.
 
-    Accepts a GcdPorcFunction or anything with (sign, GcdPorcFunction) term
-    pairs (a counting function).  Entry r gives the signed polynomial
-    sum(sign * d(r) * f) valid on arguments congruent to r mod the returned
-    modulus.
+    cf has (sign, GcdPorcFunction) term pairs.  Entry r gives the signed
+    polynomial sum(sign * d(r) * f) valid on arguments congruent to r mod
+    the returned modulus.
     """
-    if isinstance(obj, GcdPorcFunction):
-        parts = [(1, obj)]
-    else:
-        parts = list(obj.terms)
     modulus = 1
-    for _, g in parts:
+    for _, g in cf.terms:
         for _, _, m in g.d.terms:
             modulus = lcm(modulus, m)
     if modulus > TABLE_ROW_CAP:
@@ -372,7 +342,7 @@ def porc_to_residue_table(obj) -> tuple[int, list[IntPoly]]:
     table = []
     for r in range(modulus):
         coeffs: list[int] = []
-        for sign, g in parts:
+        for sign, g in cf.terms:
             dval = sign * porc_eval(g.d, r)
             fc = g.f.coeffs
             if len(fc) > len(coeffs):

@@ -6,6 +6,10 @@ least period, and written as 1 plus a weighted sum of shifted indicators of
 the classes where d exceeds 1.  It loops over every residue class, so it
 only suits small moduli; the package's prime-by-prime construction is
 compared against it.
+
+The oracle owns the indicator construction: ``build_indicator``, and the
+``porc_canonicalize`` that merges its terms.  The package's synthesis needs
+neither, so they live here and not in ``porcfield``.
 """
 
 from fractions import Fraction
@@ -16,15 +20,41 @@ from porcfield import (
     IntPoly,
     PorcExpression,
     bezout_cofactors,
-    build_indicator,
-    porc_canonicalize,
     porc_eval,
 )
+from porcfield._gfpoly import factorize
 from porcfield.errors import ConsistencyError
 from porcfield.porc import PORC_ONE
 
 #: Largest Bezout modulus the oracle profiles class by class.
 ORACLE_MODULUS_CAP = 10_000
+
+
+def build_indicator(m: int) -> PorcExpression:
+    """Sum of mu(d) * gcd(x, m/d) over squarefree d | m.
+
+    Its value is Euler's totient of m on the class 0 mod m and 0 elsewhere.
+    """
+    if m <= 1:
+        raise ValueError("indicator modulus must exceed 1")
+    raw = [(1, 0, m)]
+    for p in factorize(m):
+        raw += [(-coeff, 0, mod // p) for coeff, _, mod in raw]
+    return porc_canonicalize(PorcExpression(0, tuple(raw)))
+
+
+def porc_canonicalize(e: PorcExpression) -> PorcExpression:
+    """Reduce shifts into [0, m_i), fold m_i = 1 into alpha, merge and drop terms."""
+    alpha = e.alpha
+    merged: dict[tuple[int, int], int] = {}
+    for coeff, n, m in e.terms:
+        if m == 1:
+            alpha += coeff
+        else:
+            key = (m, n % m)
+            merged[key] = merged.get(key, 0) + coeff
+    terms = tuple((coeff, n, m) for (m, n), coeff in sorted(merged.items()) if coeff)
+    return PorcExpression(alpha=alpha, terms=terms)
 
 
 def residue_gcd_profile(fs, f: IntPoly, m: int) -> list[int]:

@@ -11,7 +11,6 @@ from math import gcd, prod
 from porcfield import (
     IntPoly,
     brute_force_count,
-    build_indicator,
     build_relation_matrix,
     evaluate_matrix,
     exponent_space_count,
@@ -30,6 +29,7 @@ from porcfield.system import CountingFunction
 from fractions import Fraction
 
 from conftest import CORPUS, QUADRATIC_TEXT
+from literal_oracle import build_indicator
 
 
 def _report(number, text):

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from itertools import product
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from porcfield import (
     count_at,
+    exponent_space_count,
     parse_system,
     synthesize_counting_function,
     synthesize_gcd_function,
@@ -72,6 +74,30 @@ class TestSynthesize:
             assert main(["synthesize", "--text", text]) == 0
             outputs.append(capsys.readouterr().out.strip())
         assert outputs == ["gcd(q-3,4)", "gcd(q-3,4)"]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "field GF(q^1); vars x; eq x^(q^400-1) = 1",
+            "field GF(q^2); vars x, y, z; eq x^(q^42-q^30)*y^(q^31+7) = 1; "
+            "eq y^(5*q^36-1)*z^(q^40+q) = 1; neq x^(q^33-2)*z^(3*q^30) = 1",
+            "field GF(q^1); vars x, y; "
+            "eq x^(1234567890123456789012345678901234567890*q+6)*y^4 = 1",
+        ],
+        ids=["exponent-q400", "degree-42-three-unknowns", "forty-digit-coefficient"],
+    )
+    def test_small_systems_with_huge_exponents_answer_quickly(self, text, capsys):
+        # a small input must answer or refuse within seconds, whatever its
+        # exponents' degree or size; these answer, and the closed form agrees
+        # with count_at and the exponent oracle wherever the oracle fits
+        start = time.perf_counter()
+        assert main(["synthesize", "--text", text]) == 0
+        assert time.perf_counter() - start < 5
+        system = parse_system(text)
+        cf = synthesize_counting_function(system)
+        assert capsys.readouterr().out.strip() == cf.render()
+        for q0 in (2, 3, 4, 5, 7, 9):
+            assert cf(q0) == count_at(system, q0) == exponent_space_count(system, q0), q0
 
 
 class TestCount:

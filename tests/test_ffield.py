@@ -31,6 +31,10 @@ from porcfield.cli import main
 from porcfield.system import EQ
 
 
+def _nonzero(field):
+    return [el for el in field.elements() if el != field.zero]
+
+
 def reference_count(system, q0):
     """Literal tuple-product count: multiply powered entries with field.mul.
 
@@ -39,7 +43,7 @@ def reference_count(system, q0):
     """
     p, e = split_prime_power(q0)
     field = make_field(p, e * system.n)
-    elements = field.nonzero_elements()
+    elements = _nonzero(field)
     checks = [
         (rel.kind == EQ, [[field.pow(el, poly(q0)) for el in elements] for poly in rel.exponents])
         for rel in system.relations
@@ -95,7 +99,7 @@ class TestMakeField:
     def test_prime_field(self):
         f = make_field(7, 1)
         assert f.mul((3,), (5,)) == (1,)
-        assert f.inverse((3,)) == (5,)
+        assert f.pow((3,), -1) == (5,)
 
     @pytest.mark.parametrize(
         "p,n,modulus,generator",
@@ -121,7 +125,7 @@ class TestFieldArithmetic:
     def test_frobenius_is_additive(self, p, n):
         field = make_field(p, n)
         rng = random.Random(p * 100 + n)
-        elements = field.nonzero_elements()
+        elements = _nonzero(field)
         for _ in range(25):
             a = rng.choice(elements)
             b = rng.choice(elements)
@@ -133,13 +137,13 @@ class TestFieldArithmetic:
     @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2), (2, 6)])
     def test_every_nonzero_element_has_full_order_dividing_group(self, p, n):
         field = make_field(p, n)
-        for el in field.nonzero_elements():
+        for el in _nonzero(field):
             assert field.pow(el, field.order - 1) == field.one
 
     def test_inverse(self):
         field = make_field(3, 2)
-        for el in field.nonzero_elements():
-            assert field.mul(el, field.inverse(el)) == field.one
+        for el in _nonzero(field):
+            assert field.mul(el, field.pow(el, -1)) == field.one
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(st.data())
@@ -161,8 +165,8 @@ class TestFieldArithmetic:
 
     def test_negative_exponents_reduce_into_group(self):
         field = make_field(5, 2)
-        for el in field.nonzero_elements()[:6]:
-            assert field.pow(el, -1) == field.inverse(el)
+        for el in _nonzero(field)[:6]:
+            assert field.pow(el, -1) == field.pow(el, field.order - 2)
             assert field.pow(el, -(field.order - 1) * 3) == field.one
 
 

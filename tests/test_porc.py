@@ -13,9 +13,7 @@ from porcfield import (
     IntPoly,
     PorcExpression,
     bezout_cofactors,
-    build_indicator,
     parse_poly,
-    porc_canonicalize,
     porc_eval,
     porc_to_residue_table,
     synthesize_gcd_function,
@@ -24,8 +22,15 @@ import porcfield.porc as porc
 from porcfield.cli import main
 from porcfield.errors import ConsistencyError, ScaleCapError
 from porcfield.porc import PORC_ONE, check_porc_invariants
+from porcfield.system import CountingFunction
 
-from literal_oracle import ORACLE_MODULUS_CAP, literal_synthesis, residue_gcd_profile
+from literal_oracle import (
+    ORACLE_MODULUS_CAP,
+    build_indicator,
+    literal_synthesis,
+    porc_canonicalize,
+    residue_gcd_profile,
+)
 
 
 def P(text):
@@ -245,19 +250,41 @@ def test_singular_lift_answers_up_to_term_budget_classes_and_refuses_past_it(p):
 PRIMES_BELOW_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 
+def _power_family(a, p1, p2):
+    return [P(f"x^{a}"), IntPoly([(p1 * p2) ** a])]
+
+
+# 30 members equal mod 2^60: the lift must test one of them per class, not
+# all 30 against each of the 200002 classes
+SHIFTED_SQUARES = [P("x^2")] + [P(f"x^2+{k * 2**60}") for k in range(1, 30)]
+
+PINNED_REFUSALS = {
+    tuple(_power_family(4, 11, 13)): "3484320 factored synthesis terms exceed TERM_BUDGET = 200000",
+    tuple(SHIFTED_SQUARES): "200002 solution classes mod 2^36 exceed TERM_BUDGET = 200000",
+}
+
+
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(st.integers(2, 5), st.sampled_from(PRIMES_BELOW_50), st.sampled_from(PRIMES_BELOW_50))
-@example(4, 11, 13)
-def test_synthesis_answers_or_refuses_within_five_seconds(a, p1, p2):
+@given(
+    st.builds(
+        _power_family,
+        st.integers(2, 5),
+        st.sampled_from(PRIMES_BELOW_50),
+        st.sampled_from(PRIMES_BELOW_50),
+    )
+)
+@example(_power_family(4, 11, 13))
+@example(SHIFTED_SQUARES)
+def test_synthesis_answers_or_refuses_within_five_seconds(fs):
     # the CRT product of the two primes' local expressions of gcd(x^a, (p1*p2)^a)
     # can reach millions of terms (3484320 for 143^4), which TERM_BUDGET must
     # refuse before they are built
     start = time.perf_counter()
     try:
-        synthesize_gcd_function([P(f"x^{a}"), IntPoly([(p1 * p2) ** a])])
+        synthesize_gcd_function(fs)
     except ScaleCapError as exc:
-        if (a, p1, p2) == (4, 11, 13):
-            assert str(exc) == "3484320 factored synthesis terms exceed TERM_BUDGET = 200000"
+        if tuple(fs) in PINNED_REFUSALS:
+            assert str(exc) == PINNED_REFUSALS[tuple(fs)]
     assert time.perf_counter() - start < 5
 
 
@@ -419,24 +446,24 @@ class TestPorcEval:
 class TestResidueTable:
     def test_parity_times_quadratic(self):
         g = GcdPorcFunction(f=P("q^2-q"), d=expr(0, (1, 1, 2)), m=2)
-        modulus, table = porc_to_residue_table(g)
+        modulus, table = porc_to_residue_table(CountingFunction(((1, g),)))
         assert modulus == 2
         assert table[0] == P("q^2-q")
         assert table[1] == P("2*q^2-2*q")
 
     def test_constant_function(self):
         g = GcdPorcFunction(f=IntPoly([5]), d=PORC_ONE, m=1)
-        assert porc_to_residue_table(g) == (1, [IntPoly([5])])
+        assert porc_to_residue_table(CountingFunction(((1, g),))) == (1, [IntPoly([5])])
 
     def test_row_cap_raises_before_any_row(self, monkeypatch):
-        g = GcdPorcFunction(f=P("q^2-q"), d=expr(0, (1, 1, 2)), m=2)
+        cf = CountingFunction(((1, GcdPorcFunction(f=P("q^2-q"), d=expr(0, (1, 1, 2)), m=2)),))
         monkeypatch.setattr(porc, "TABLE_ROW_CAP", 1)
         monkeypatch.setattr(porc, "porc_eval", lambda *a: pytest.fail("built a row"))
         with pytest.raises(ScaleCapError, match="table of 2 residue classes exceeds TABLE_ROW_CAP"):
-            porc_to_residue_table(g)
+            porc_to_residue_table(cf)
         monkeypatch.undo()
         monkeypatch.setattr(porc, "TABLE_ROW_CAP", 2)
-        assert porc_to_residue_table(g)[0] == 2
+        assert porc_to_residue_table(cf)[0] == 2
 
     def test_table_agrees_with_direct_evaluation(self):
         rng = random.Random(12)
@@ -448,7 +475,7 @@ class TestResidueTable:
             if all(not f for f in fs):
                 continue
             g = synthesize_gcd_function(fs)
-            modulus, table = porc_to_residue_table(g)
+            modulus, table = porc_to_residue_table(CountingFunction(((1, g),)))
             for x in range(2, 2 + 10 * modulus):
                 signed = porc_eval(g.d, x) * g.f(x)
                 assert table[x % modulus](x) == signed

@@ -27,7 +27,6 @@ PUBLIC_NAMES = [
     "ScaleCapError",
     "bezout_cofactors",
     "brute_force_count",
-    "build_indicator",
     "build_relation_matrix",
     "content_and_primitive",
     "count_at",
@@ -39,7 +38,6 @@ PUBLIC_NAMES = [
     "maximal_minors",
     "parse_poly",
     "parse_system",
-    "porc_canonicalize",
     "porc_eval",
     "porc_to_residue_table",
     "smith_normal_form",
@@ -50,7 +48,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 33
+    assert len(PUBLIC_NAMES) == 31
     assert sorted(porcfield.__all__) == PUBLIC_NAMES
 
 
@@ -65,6 +63,20 @@ def test_one_polynomial_class():
 
     assert not hasattr(porcfield, "RatPoly")
     assert not hasattr(porcfield.polynomial, "RatPoly")
+
+
+def test_helpers_no_caller_reaches_are_gone():
+    # the indicator construction lives in the reference oracle; pow(a, -1)
+    # inverts, one filter over elements() lists the nonzero elements, and
+    # porc_eval evaluates an expression
+    import porcfield.porc
+
+    for name in ("build_indicator", "porc_canonicalize"):
+        assert not hasattr(porcfield.porc, name), name
+    for name in ("inverse", "nonzero_elements"):
+        assert not hasattr(porcfield.FieldContext, name), name
+    assert not hasattr(porcfield.IntPoly, "__pow__")
+    assert not callable(porcfield.PorcExpression(0))
 
 
 def _absolute_imports():

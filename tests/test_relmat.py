@@ -75,7 +75,7 @@ class TestMinors:
         for k, n in ((1, 1), (2, 2), (3, 1)):
             m = build_relation_matrix([], k, n)
             minors = maximal_minors(m)
-            assert minors == [relmat._membership_poly(n) ** k]
+            assert minors == [prod([relmat._membership_poly(n)] * k, start=IntPoly((1,)))]
 
     @pytest.mark.parametrize(
         "widths, message",
