@@ -5,6 +5,7 @@ Subcommands: synthesize, count, gcd-porc, table, verify.  Exit codes:
 exceeded, 3 verification mismatch or internal consistency error.
 """
 
+import gc
 import sys
 
 from ._gfpoly import factorize
@@ -208,13 +209,18 @@ def _parse_args(argv: list[str]):
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # the process entry: freeze the start-up heap into the permanent
+        # generation, so the full collections at interpreter exit skip it
+        gc.freeze()
+        argv = sys.argv[1:]
     # an exact count can have more digits than Python's int-to-str limit
     # (4300 from 3.10.7 on, absent before) lets print; lift it for this call
     saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if saved is not None:
         sys.set_int_max_str_digits(0)
     try:
-        handler, args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+        handler, args = _parse_args(list(argv))
         return handler(args)
     except ValueError as exc:  # DslSyntaxError included
         print(f"error: {exc}", file=sys.stderr)

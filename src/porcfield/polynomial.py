@@ -179,7 +179,8 @@ def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly, int]:
         # rem <- lc*rem - c*x^i*b cancels the top coefficient c
         c = rem.pop()
         quot[i] = c
-        rem = [x * lc for x in rem]
+        if lc != 1:  # for a monic b, a step costs deg b, not deg a
+            rem = [x * lc for x in rem]
         if c:
             for j, bc in enumerate(b.coeffs[:-1]):
                 rem[i + j] -= c * bc
