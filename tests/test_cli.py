@@ -15,7 +15,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from porcfield import (
     count_at,
@@ -121,31 +121,46 @@ class TestSynthesize:
             outputs.append(capsys.readouterr().out.strip())
         assert outputs == ["gcd(q-3,4)", "gcd(q-3,4)"]
 
+    @pytest.mark.parametrize(
+        "text", PINNED_HUGE_EXPONENTS.values(), ids=PINNED_HUGE_EXPONENTS.keys()
+    )
+    def test_small_systems_with_huge_exponents_answer_quickly(self, text):
+        # these answer within seconds, and the closed form agrees with
+        # count_at and the exponent oracle wherever the oracle fits
+        code, out, err = _synthesize_within_five_seconds(text)
+        assert code == 0, err
+        _assert_answer_agrees_with_oracles(text, out)
+
     @settings(derandomize=True, database=None, max_examples=10, deadline=None)
     @given(huge_exponent_systems())
-    @example(PINNED_HUGE_EXPONENTS["exponent-q400"])
-    @example(PINNED_HUGE_EXPONENTS["degree-42-three-unknowns"])
-    @example(PINNED_HUGE_EXPONENTS["forty-digit-coefficient"])
-    @example(PINNED_HUGE_EXPONENTS["exponent-q30000"])
     def test_small_systems_with_huge_exponents_answer_or_refuse_quickly(self, text):
         # a small input must answer or refuse within seconds, whatever its
-        # exponents' degree or size; an answer's closed form agrees with
-        # count_at and the exponent oracle wherever the oracle fits
-        out, err = io.StringIO(), io.StringIO()
-        start = time.perf_counter()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["synthesize", "--text", text])
-        assert time.perf_counter() - start < 5
-        if code == 2 and text not in PINNED_HUGE_EXPONENTS.values():
+        # exponents' degree or size
+        code, out, err = _synthesize_within_five_seconds(text)
+        if code == 2:
             # a modulus without small factors: the refusal names its cap
-            assert re.match(r"error: .+ exceeds? [A-Z_]+ = \d+", err.getvalue()), err.getvalue()
+            assert re.match(r"error: .+ exceeds? [A-Z_]+ = \d+", err), err
             return
-        assert code == 0, err.getvalue()
-        system = parse_system(text)
-        cf = synthesize_counting_function(system)
-        assert out.getvalue().strip() == cf.render()
-        for q0 in (2, 3, 4, 5, 7, 9):
-            assert cf(q0) == count_at(system, q0) == exponent_space_count(system, q0), q0
+        assert code == 0, err
+        _assert_answer_agrees_with_oracles(text, out)
+
+
+def _synthesize_within_five_seconds(text):
+    """Exit code, stdout and stderr of `synthesize --text text`, run in process."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["synthesize", "--text", text])
+    assert time.perf_counter() - start < 5
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_answer_agrees_with_oracles(text, out):
+    system = parse_system(text)
+    cf = synthesize_counting_function(system)
+    assert out.strip() == cf.render()
+    for q0 in (2, 3, 4, 5, 7, 9):
+        assert cf(q0) == count_at(system, q0) == exponent_space_count(system, q0), q0
 
 
 class TestCount:
