@@ -34,7 +34,7 @@ print(f"system over GF(q^{system.n}) in {system.variables}")
 # Each inclusion-exclusion subset turns into a relation matrix; the count is
 # the product of the elementary divisors of the matrix evaluated at q.
 
-rows = [r.exponents for r in system.relations if r.kind == "eq"]
+rows = [r.exponents for r in system.equations]
 matrix = build_relation_matrix(rows, system.k, system.n)
 print("\nequality relation matrix (rows are exponent vectors):")
 for row in matrix:

@@ -33,8 +33,6 @@ from .porc import (
 from .relmat import build_relation_matrix, evaluate_matrix, maximal_minors
 from .snf import smith_normal_form
 from .system import (
-    EQ,
-    NEQ,
     CountingFunction,
     MonomialRelation,
     MonomialSystem,
@@ -50,13 +48,11 @@ __all__ = [
     "ConsistencyError",
     "CountingFunction",
     "DslSyntaxError",
-    "EQ",
     "FieldContext",
     "GcdPorcFunction",
     "IntPoly",
     "MonomialRelation",
     "MonomialSystem",
-    "NEQ",
     "PorcExpression",
     "ScaleCapError",
     "bezout_cofactors",

@@ -28,7 +28,7 @@ from operator import ne
 from ._gfpoly import factorize, gf_is_irreducible
 from .errors import ConsistencyError, ScaleCapError
 from .polynomial import _int
-from .system import EQ, MonomialSystem
+from .system import MonomialSystem
 
 #: Cap on the tuples either oracle enumerates, and on the order of a field built.
 MAX_TUPLES = 10**6
@@ -226,12 +226,13 @@ def brute_force_count(system: MonomialSystem, q0: int) -> int:
         field = make_field(p, e * system.n)
         g, logs = _discrete_logs(field)
         cycles = {}  # beta -> its power cycle, walked once
-        for rel in system.relations:
-            betas = [poly(q0) % group for poly in rel.exponents]
-            for beta in betas:
-                if beta not in cycles:
-                    cycles[beta] = _power_cycle(field, logs, g, beta)
-            checks.append((rel.kind == EQ, [cycles[beta] for beta in betas]))
+        for want_eq, rels in ((True, system.equations), (False, system.inequations)):
+            for rel in rels:
+                betas = [poly(q0) % group for poly in rel.exponents]
+                for beta in betas:
+                    if beta not in cycles:
+                        cycles[beta] = _power_cycle(field, logs, g, beta)
+                checks.append((want_eq, [cycles[beta] for beta in betas]))
     # (minus the cycle length, equation, unknown): the longest cycle prunes most
     pairs = [
         (-len(row[j]), r, j)
@@ -285,9 +286,8 @@ def exponent_space_count(system: MonomialSystem, q0: int) -> int:
             f"{modulus}^{system.k} exponent tuples exceed MAX_TUPLES = {MAX_TUPLES}"
         )
     # equations first, so each residue vector starts with its equation coordinates
-    relations = sorted(system.relations, key=lambda rel: rel.kind != EQ)
     n_eq = len(system.equations)
-    rows = [[poly(q0) % modulus for poly in rel.exponents] for rel in relations]
+    rows = [[poly(q0) % modulus for poly in rel.exponents] for rel in system.relations]
 
     def step(i):
         # residue vectors of m * v over m in Z_modulus, for unknown i's column v:

@@ -137,13 +137,13 @@ def parse_system(text: str) -> MonomialSystem:
     n = _parse_field_decl(parser)
     names = _parse_var_decl(parser)
     index = {name: i for i, name in enumerate(names)}
-    relations = []
-    while parser.peek().kind == "ident" and parser.peek().text in ("eq", "neq"):
-        relations.append(_parse_relation(parser, index))
+    relations = {"eq": [], "neq": []}
+    while parser.peek().kind == "ident" and parser.peek().text in relations:
+        relations[parser.advance().text].append(_parse_relation(parser, index))
     if parser.peek().kind != "eof":
         raise parser.fail("expected 'eq', 'neq' or end of input")
     return MonomialSystem(
-        k=len(names), n=n, relations=tuple(relations), variables=tuple(names)
+        len(names), n, tuple(relations["eq"]), tuple(relations["neq"]), tuple(names)
     )
 
 
@@ -183,7 +183,7 @@ def _parse_var_decl(p: _Parser) -> list[str]:
 
 
 def _parse_relation(p: _Parser, index: dict[str, int]) -> MonomialRelation:
-    kind = p.advance().text  # "eq" or "neq"
+    """The monomial after an 'eq' or 'neq' keyword, through its '= 1'."""
     exponents = [IntPoly() for _ in index]
     while True:
         tok = p.expect("ident", "variable name")
@@ -202,7 +202,7 @@ def _parse_relation(p: _Parser, index: dict[str, int]) -> MonomialRelation:
     if tok.text != "1":
         raise DslSyntaxError("right-hand side must be 1", tok.line, tok.col)
     p.expect_semi()
-    return MonomialRelation(exponents=tuple(exponents), kind=kind)
+    return MonomialRelation(tuple(exponents))
 
 
 def _parse_exponent(p: _Parser) -> IntPoly:

@@ -94,11 +94,15 @@ class IntPoly:
         return self.__mul__(other)
 
     def __call__(self, x: int) -> int:
-        """Evaluate at an integer point (Horner)."""
-        acc = 0
+        """Evaluate at an integer point (Horner); a run of zero coefficients costs one power."""
+        acc = skipped = 0
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            if c:
+                acc = acc * x ** (skipped + 1) + c
+                skipped = 0
+            else:
+                skipped += 1
+        return acc * x**skipped
 
     def exact_div(self, other: "IntPoly") -> "IntPoly":
         """Exact quotient self / other in Z[x]; raises if the division is not exact."""

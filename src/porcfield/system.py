@@ -1,8 +1,8 @@
 """Monomial systems and their exact counting functions.
 
 A system fixes k unknowns ranging over the nonzero elements of the degree-n
-extension field and a list of monomial constraints whose exponents are
-integer polynomials in q.  Counting proceeds by inclusion-exclusion over
+extension field, a tuple of monomial equations and one of inequations, whose
+exponents are integer polynomials in q.  Counting proceeds by inclusion-exclusion over
 the inequations: each subset contributes the solution count of a pure
 equation system, obtained from the elementary divisors of its relation
 matrix, and symbolically from the gcd of the matrix's maximal minors.  Every
@@ -25,34 +25,31 @@ from .porc import PORC_ONE, GcdPorcFunction, _gcd_fold, synthesize_gcd_function
 from .relmat import build_relation_matrix, evaluate_matrix, maximal_minors
 from .snf import smith_normal_form
 
-EQ = "eq"
-NEQ = "neq"
-
 
 class MonomialRelation(Record):
     """One constraint: the monomial with these exponents equals (or differs from) 1."""
 
-    __slots__ = ("exponents", "kind")
+    __slots__ = ("exponents",)
     exponents: tuple[IntPoly, ...]
-    kind: str  # EQ or NEQ
 
 
 class MonomialSystem(Record):
-    """k unknowns over the degree-n extension, plus the user relations.
+    """k unknowns over the degree-n extension, plus the equations and the inequations.
 
     Membership constraints are implicit; they are appended to every
     relation matrix and never stored here.
     """
 
-    __slots__ = ("k", "n", "relations", "variables")
-    _defaults = {"relations": (), "variables": ()}
+    __slots__ = ("k", "n", "equations", "inequations", "variables")
+    _defaults = {"equations": (), "inequations": (), "variables": ()}
     k: int
     n: int
-    relations: tuple[MonomialRelation, ...]
+    equations: tuple[MonomialRelation, ...]
+    inequations: tuple[MonomialRelation, ...]
     variables: tuple[str, ...]
 
     def __post_init__(self):
-        if self.k < 1 or self.n < 1:
+        if _int(self.k, "k") < 1 or _int(self.n, "n") < 1:
             raise ValueError("need k >= 1 unknowns and extension degree n >= 1")
         if not self.variables:
             object.__setattr__(
@@ -65,23 +62,19 @@ class MonomialSystem(Record):
                 raise ValueError("relation exponent vector has wrong length")
 
     @property
-    def equations(self) -> tuple[MonomialRelation, ...]:
-        return tuple(r for r in self.relations if r.kind == EQ)
-
-    @property
-    def inequations(self) -> tuple[MonomialRelation, ...]:
-        return tuple(r for r in self.relations if r.kind == NEQ)
+    def relations(self) -> tuple[MonomialRelation, ...]:
+        """The equations, then the inequations."""
+        return (*self.equations, *self.inequations)
 
 
 def make_system(k: int, n: int, eqs=(), neqs=(), variables=()) -> MonomialSystem:
     """Convenience constructor from plain exponent rows (ints or IntPoly)."""
 
-    def rel(row, kind):
+    def rel(row):
         exps = tuple(p if isinstance(p, IntPoly) else IntPoly.constant(p) for p in row)
-        return MonomialRelation(exponents=exps, kind=kind)
+        return MonomialRelation(exps)
 
-    relations = [rel(r, EQ) for r in eqs] + [rel(r, NEQ) for r in neqs]
-    return MonomialSystem(k=k, n=n, relations=tuple(relations), variables=tuple(variables))
+    return MonomialSystem(k, n, tuple(map(rel, eqs)), tuple(map(rel, neqs)), tuple(variables))
 
 
 class CountingFunction(Record):
@@ -111,6 +104,11 @@ class CountingFunction(Record):
         return self.render()
 
 
+def _reduced(p: IntPoly, n: int) -> IntPoly:
+    """p modulo q^n - 1: the coefficient of q^i moves to q^(i mod n)."""
+    return IntPoly([sum(p.coeffs[i::n]) for i in range(n)])
+
+
 def _inclusion_exclusion(system: MonomialSystem):
     """The rows of the system's full relation matrix, and its inclusion-exclusion subsets.
 
@@ -119,6 +117,13 @@ def _inclusion_exclusion(system: MonomialSystem):
     inequations, each as (sign, rows): rows are the sorted indices of the
     equations, the subset's inequations and the membership rows, so
     selecting them gives the subset's own relation matrix.
+
+    Each user exponent is reduced modulo q^n - 1 (``_reduced``).  Every
+    subset keeps all k membership rows (q^n - 1)*e_i, and the reduction
+    subtracts multiples of them from the user rows: a unimodular row
+    operation over Z[q], so each subset's lattice at every q, and the ideal
+    of its maximal minors, stay as they were.  Degrees and the integers of
+    the synthesis stay small however high the exponents' powers of q.
 
     A subset with j of the s inequations has e + j + k rows, so its family
     has C(e+j+k, k) maximal minors.  Their sum over the subsets,
@@ -130,8 +135,7 @@ def _inclusion_exclusion(system: MonomialSystem):
     i <= min(s, k) (Vandermonde's identity on C(e+j+k, k)), whose few terms
     stay cheap for any s.
     """
-    eqs, neqs = system.equations, system.inequations
-    e, s, k = len(eqs), len(neqs), system.k
+    e, s, k, n = len(system.equations), len(system.inequations), system.k, system.n
     work = sum(comb(s, i) * comb(e + k, k - i) * 2 ** (s - i) for i in range(min(s, k) + 1))
     if work > relmat.WORK_BUDGET:
         # Python refuses to convert an int of over 4300 digits to decimal
@@ -140,7 +144,9 @@ def _inclusion_exclusion(system: MonomialSystem):
             f"inclusion-exclusion blow-up: {shown} family members (k={k}, e={e}, s={s}) "
             f"exceed WORK_BUDGET = {relmat.WORK_BUDGET}"
         )
-    matrix = build_relation_matrix([r.exponents for r in eqs + neqs], k, system.n)
+    matrix = build_relation_matrix(
+        [[_reduced(p, n) for p in r.exponents] for r in system.relations], k, n
+    )
     equations = tuple(range(e))
     membership = tuple(range(e + s, e + s + k))
 

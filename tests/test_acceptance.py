@@ -178,7 +178,7 @@ def test_criterion_5_snf_invariance_and_divisor_chain():
         assert smith_normal_form(work) == reference
     # every divisor of an evaluated relation matrix divides q^n - 1
     for system in CORPUS.values():
-        rows = [rel.exponents for rel in system.relations if rel.kind == "eq"]
+        rows = [rel.exponents for rel in system.equations]
         matrix = build_relation_matrix(rows, system.k, system.n)
         for q0 in range(2, 10):
             group = q0**system.n - 1

@@ -3,12 +3,15 @@
 The harness under `bench/` imports names from the package and wraps module
 attributes by name (`bench/spans.py::_patches`), so renaming or deleting one
 of them breaks the harness, not the package's own tests.  These checks read
-the harness with `ast` and so need none of its imports, sympy included.
+the harness with `ast` and so need none of its imports, sympy included.  The
+harness also reads a parsed system's fields, checked here on one system.
 """
 
 import ast
 import importlib
 from pathlib import Path
+
+from porcfield import IntPoly, parse_system
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -65,3 +68,15 @@ def test_every_wrapped_package_attribute_exists():
     assert len(wrapped) >= 10
     for module, attr in wrapped:
         assert hasattr(importlib.import_module(module), attr), (module, attr)
+
+
+def test_system_attributes_the_harness_reads_exist():
+    # bench/spans.py reads k, n and inequations (on_synthesize, _tuples), and
+    # bench/test_bench.py reads equations, inequations, relations and each
+    # relation's exponents
+    system = parse_system("field GF(q^2); vars x, y; eq x^(q+1) = 1; neq y^-2 = 1")
+    assert (system.k, system.n) == (2, 2)
+    [eq], [neq] = system.equations, system.inequations
+    assert eq.exponents == (IntPoly([1, 1]), IntPoly())
+    assert neq.exponents == (IntPoly(), IntPoly([-2]))
+    assert system.relations == (eq, neq)

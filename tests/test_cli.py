@@ -59,17 +59,24 @@ PINNED_HUGE_EXPONENTS = {
     ),
     # pseudo-division by the monic q^n - 1 must stay linear in the degree
     "exponent-q30000": "field GF(q^1); vars x; eq x^(q^30000) = 1",
+    # reduced modulo q^n - 1, these no longer grow the synthesis's integers
+    "forty-digit-coefficients-next-to-q54": (
+        "field GF(q^1); vars x, y, z; "
+        "eq y^(1*q^31-1*q^32)*x^(1*q^51)*z^(1*q^8+1*q^54) = 1; eq y^(-1*q^13)*z^(1*q^42) = 1; "
+        "neq x^(-1*q^37+1*q^53-6840552534495890530471766855222497288907*q^12)"
+        "*y^(8120336243773584522198953246822897194513*q^28+1*q^49) = 1"
+    ),
+    "exponent-q1000000": "field GF(q^1); vars x; eq x^(q^1000000) = 1",
 }
 
 _DIGIT = st.integers(-9, 9).filter(bool)
 _WIDE = st.integers(-(10**40), 10**40)
-# Either up to two powers of q of degree up to 42 with one-digit coefficients,
-# plus a constant, or a linear exponent with coefficients of up to 40 digits.
-# Systems that put 40-digit coefficients next to high powers of q are left
-# out: their Bezout cofactors grow for minutes (ROADMAP item 6).
+# Either up to two powers of q of degree up to 60, each with a coefficient of
+# one digit or of up to 40 digits, plus a constant, or a linear exponent with
+# coefficients of up to 40 digits.
 _HIGH_DEGREE = st.builds(
     lambda terms, c: "+".join(f"{a}*q^{d}" for a, d in terms) + f"+{c}",
-    st.lists(st.tuples(_DIGIT, st.integers(2, 42)), min_size=1, max_size=2),
+    st.lists(st.tuples(_DIGIT | _WIDE.filter(bool), st.integers(2, 60)), min_size=1, max_size=2),
     st.integers(-9, 9),
 )
 _WIDE_LINEAR = st.builds(lambda a, c: f"{a}*q+{c}", _WIDE.filter(bool), _WIDE)
@@ -131,7 +138,7 @@ class TestSynthesize:
         assert code == 0, err
         _assert_answer_agrees_with_oracles(text, out)
 
-    @settings(derandomize=True, database=None, max_examples=10, deadline=None)
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
     @given(huge_exponent_systems())
     def test_small_systems_with_huge_exponents_answer_or_refuse_quickly(self, text):
         # a small input must answer or refuse within seconds, whatever its
@@ -153,6 +160,23 @@ def _synthesize_within_five_seconds(text):
         code = main(["synthesize", "--text", text])
     assert time.perf_counter() - start < 5
     return code, out.getvalue(), err.getvalue()
+
+
+_VERIFIED_ONE = "".join(f"q={q} count=1 ok ({2 if q == 6 else 3} checks)\n" for q in range(2, 10))
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(["count", "--q", "2"], "1\n"), (["verify", "--q-range", "2:9"], _VERIFIED_ONE)],
+    ids=["count", "verify"],
+)
+def test_exponent_q1000000_counts_and_verifies_quickly(argv, expected, capsys):
+    # count_at reduces the exponent modulo q - 1; the oracles evaluate it as
+    # written, with one power of q for the run of a million zero coefficients
+    start = time.perf_counter()
+    code = main([*argv, "--text", PINNED_HUGE_EXPONENTS["exponent-q1000000"]])
+    assert time.perf_counter() - start < 5
+    assert (code, capsys.readouterr().out) == (0, expected)
 
 
 def _assert_answer_agrees_with_oracles(text, out):

@@ -28,7 +28,6 @@ from porcfield import (
 )
 from porcfield._gfpoly import gf_divmod, gf_mul, gf_pow_mod
 from porcfield.cli import main
-from porcfield.system import EQ
 
 
 def _nonzero(field):
@@ -45,8 +44,9 @@ def reference_count(system, q0):
     field = make_field(p, e * system.n)
     elements = _nonzero(field)
     checks = [
-        (rel.kind == EQ, [[field.pow(el, poly(q0)) for el in elements] for poly in rel.exponents])
-        for rel in system.relations
+        (want_eq, [[field.pow(el, poly(q0)) for el in elements] for poly in rel.exponents])
+        for want_eq, rels in ((True, system.equations), (False, system.inequations))
+        for rel in rels
     ]
     count = 0
     for combo in product(range(len(elements)), repeat=system.k):

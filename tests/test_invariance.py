@@ -2,6 +2,7 @@
 
 import json
 from itertools import permutations
+from unittest.mock import patch
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -77,13 +78,15 @@ def systems_with_an_inequation(draw):
 def systems_with_an_exponent(draw):
     # k unknowns, equations and inequations with at least one relation, the
     # index of one relation among eqs + neqs and of one unknown, and a g(q)
+    # of degree up to 5
     k = draw(st.integers(1, 3))
     n = draw(st.integers(1, 3))
     rows = st.tuples(*[exponents] * k)
     eqs = draw(st.lists(rows, max_size=2))
     neqs = draw(st.lists(rows, min_size=0 if eqs else 1, max_size=3))
     relation = draw(st.integers(0, len(eqs) + len(neqs) - 1))
-    return k, n, eqs, neqs, relation, draw(st.integers(0, k - 1)), draw(exponents)
+    g = draw(st.lists(st.integers(-9, 9), max_size=6).map(IntPoly))
+    return k, n, eqs, neqs, relation, draw(st.integers(0, k - 1)), g
 
 
 def _output(system):
@@ -197,13 +200,24 @@ def test_counting_function_ignores_a_duplicated_inequation(drawn):
 @SETTINGS
 @given(systems_with_an_exponent())
 def test_counting_function_ignores_a_multiple_of_the_group_order(drawn):
+    # the relation matrix holds every exponent reduced modulo q^n - 1, and
+    # building it from the exponents as written differs from that by a
+    # unimodular row operation by the membership rows: neither may change
+    # the closed form or count_at
     k, n, eqs, neqs, r, j, g = drawn
     rows = eqs + neqs
     shifted = list(rows[r])
     shifted[j] += (IntPoly.monomial(1, n) - 1) * g
     rows = rows[:r] + [tuple(shifted)] + rows[r + 1:]
-    forward = _output(make_system(k, n, eqs=eqs, neqs=neqs))
-    assert _output(make_system(k, n, eqs=rows[: len(eqs)], neqs=rows[len(eqs):])) == forward
+    moved = make_system(k, n, eqs=rows[: len(eqs)], neqs=rows[len(eqs):])
+
+    def outputs(system):
+        return _output(system), [count_at(system, q) for q in range(2, 10)]
+
+    forward = outputs(make_system(k, n, eqs=eqs, neqs=neqs))
+    assert outputs(moved) == forward
+    with patch("porcfield.system._reduced", lambda p, n: p):
+        assert outputs(moved) == forward
 
 
 # each added or changed member generates the same ideal of values, so the

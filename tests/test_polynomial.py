@@ -34,6 +34,19 @@ class TestEvalPoly:
         x = 10**30
         assert P("q^3-q")(x) == x**3 - x
 
+    def test_sparse_polynomials_match_plain_horner(self):
+        # runs of zero coefficients, inside, at the bottom and next to the top
+        rng = random.Random(8)
+        for _ in range(300):
+            coeffs = [rng.choice([0, 0, 0, rng.randint(-9, 9)]) for _ in range(rng.randint(0, 40))]
+            x = rng.randint(-20, 20)
+            plain = 0
+            for c in reversed(IntPoly(coeffs).coeffs):
+                plain = plain * x + c
+            assert IntPoly(coeffs)(x) == plain, (coeffs, x)
+        sparse = P("q^1000000+3*q^2")
+        assert [sparse(x) for x in (-1, 0, 1, 2)] == [4, 0, 4, 2**1000000 + 12]
+
 
 class TestCoefficients:
     @pytest.mark.parametrize("coeffs", [[2.5, True], [1, True], [3.0], ["3"], [Fraction(3)]])

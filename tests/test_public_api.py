@@ -16,13 +16,11 @@ PUBLIC_NAMES = [
     "ConsistencyError",
     "CountingFunction",
     "DslSyntaxError",
-    "EQ",
     "FieldContext",
     "GcdPorcFunction",
     "IntPoly",
     "MonomialRelation",
     "MonomialSystem",
-    "NEQ",
     "PorcExpression",
     "ScaleCapError",
     "bezout_cofactors",
@@ -48,7 +46,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 31
+    assert len(PUBLIC_NAMES) == 29
     assert sorted(porcfield.__all__) == PUBLIC_NAMES
 
 

@@ -12,18 +12,19 @@ from porcfield import (
     MonomialRelation,
     MonomialSystem,
     PorcExpression,
+    make_system,
 )
 
 X = IntPoly((0, 1))
 ONE = IntPoly((1,))
 D = PorcExpression(Fraction(1), ((Fraction(-1, 2), 1, 2),))
 G = GcdPorcFunction(X, D, 2)
-REL = MonomialRelation((X, ONE), "eq")
+REL = MonomialRelation((X, ONE))
 FIELDS = {
     PorcExpression: ("alpha", "terms"),
     GcdPorcFunction: ("f", "d", "m"),
-    MonomialRelation: ("exponents", "kind"),
-    MonomialSystem: ("k", "n", "relations", "variables"),
+    MonomialRelation: ("exponents",),
+    MonomialSystem: ("k", "n", "equations", "inequations", "variables"),
     CountingFunction: ("terms",),
 }
 
@@ -34,8 +35,8 @@ def _records():
         (PorcExpression(Fraction(1), ((Fraction(-1, 2), 1, 2),)),
          PorcExpression(alpha=Fraction(1), terms=((Fraction(-1, 2), 1, 2),))),
         (GcdPorcFunction(X, D, 2), GcdPorcFunction(f=X, d=D, m=2)),
-        (MonomialRelation((X, ONE), "eq"), MonomialRelation(exponents=(X, ONE), kind="eq")),
-        (MonomialSystem(2, 1, (REL,)), MonomialSystem(k=2, n=1, relations=(REL,))),
+        (MonomialRelation((X, ONE)), MonomialRelation(exponents=(X, ONE))),
+        (MonomialSystem(2, 1, (REL,)), MonomialSystem(k=2, n=1, equations=(REL,))),
         (CountingFunction(((1, G),)), CountingFunction(terms=((1, G),))),
     ]
 
@@ -62,7 +63,9 @@ def test_records_of_different_classes_never_compare_equal():
 def test_different_fields_compare_unequal():
     assert PorcExpression(Fraction(1)) != PorcExpression(Fraction(2))
     assert GcdPorcFunction(X, D, 2) != GcdPorcFunction(X, D, 4)
-    assert MonomialRelation((X, ONE), "eq") != MonomialRelation((X, ONE), "neq")
+    assert MonomialRelation((X, ONE)) != MonomialRelation((ONE, X))
+    # one relation as an equation and as an inequation
+    assert MonomialSystem(2, 1, (REL,)) != MonomialSystem(2, 1, (), (REL,))
 
 
 @pytest.mark.parametrize("a, _", _records(), ids=lambda r: type(r).__name__)
@@ -74,7 +77,7 @@ def test_repr_lists_every_field_in_order(a, _):
 def test_repr_names_the_class_and_every_field():
     assert repr(PorcExpression(Fraction(3))) == "PorcExpression(alpha=Fraction(3, 1), terms=())"
     assert repr(MonomialSystem(1, 2)) == (
-        "MonomialSystem(k=1, n=2, relations=(), variables=('x1',))"
+        "MonomialSystem(k=1, n=2, equations=(), inequations=(), variables=('x1',))"
     )
     assert repr(CountingFunction(())) == "CountingFunction(terms=())"
 
@@ -93,9 +96,9 @@ def test_fields_refuse_assignment(a, _):
 def test_defaults_hold():
     assert PorcExpression(Fraction(5)).terms == ()
     system = MonomialSystem(k=2, n=3)
-    assert system.relations == ()
+    assert system.equations == system.inequations == system.relations == ()
     assert system.variables == ("x1", "x2")
-    assert MonomialSystem(1, 1, (), ("y",)).variables == ("y",)
+    assert MonomialSystem(1, 1, (), (), ("y",)).variables == ("y",)
 
 
 def test_missing_and_unknown_fields_are_type_errors():
@@ -104,17 +107,38 @@ def test_missing_and_unknown_fields_are_type_errors():
     with pytest.raises(TypeError):
         GcdPorcFunction(X, D)
     with pytest.raises(TypeError):
-        MonomialRelation((X,), "eq", "extra")
+        MonomialRelation((X,), "eq")
     with pytest.raises(TypeError):
-        MonomialRelation((X,), "eq", sign=1)
+        MonomialRelation((X,), kind="eq")
     with pytest.raises(TypeError):
-        MonomialRelation((X,), exponents=(X,), kind="eq")
+        MonomialRelation((X,), exponents=(X,))
+    with pytest.raises(TypeError):
+        MonomialSystem(k=1, n=1, relations=())
 
 
 def test_monomial_system_checks_its_shape():
     with pytest.raises(ValueError, match="variable name count differs from k"):
         MonomialSystem(k=2, n=1, variables=("x",))
-    with pytest.raises(ValueError, match="wrong length"):
-        MonomialSystem(k=1, n=1, relations=(REL,))
+    for relations in ({"equations": (REL,)}, {"inequations": (REL,)}):
+        with pytest.raises(ValueError, match="wrong length"):
+            MonomialSystem(k=1, n=1, **relations)
     with pytest.raises(ValueError, match="need k >= 1"):
         MonomialSystem(k=0, n=1)
+
+
+@pytest.mark.parametrize(
+    "k, n, message",
+    [
+        (True, 1, "k is True; expected an integer"),
+        (2.0, 1, "k is 2.0; expected an integer"),
+        (1, True, "n is True; expected an integer"),
+        (1, 2.0, "n is 2.0; expected an integer"),
+    ],
+)
+def test_monomial_system_refuses_a_k_or_n_that_is_not_an_int(k, n, message):
+    with pytest.raises(ValueError) as info:
+        MonomialSystem(k=k, n=n)
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        make_system(k, n)
+    assert str(info.value) == message

@@ -35,7 +35,6 @@ from porcfield import (
 from porcfield.errors import ConsistencyError
 from porcfield.jsonio import counting_function_from_dict, counting_function_to_dict
 from porcfield.porc import PORC_ONE
-from porcfield.system import EQ, NEQ
 
 
 class TestParse:
@@ -43,11 +42,12 @@ class TestParse:
         s = quadratic_system
         assert (s.k, s.n) == (2, 2)
         assert s.variables == ("x1", "x2")
-        kinds = [r.kind for r in s.relations]
-        assert kinds == [EQ, NEQ, EQ]
-        assert s.relations[0].exponents == (parse_poly("q^2-1"), IntPoly())
-        assert s.relations[1].exponents == (parse_poly("q-1"), IntPoly())
-        assert s.relations[2].exponents == (parse_poly("q+1"), IntPoly([-2]))
+        assert [r.exponents for r in s.equations] == [
+            (parse_poly("q^2-1"), IntPoly()),
+            (parse_poly("q+1"), IntPoly([-2])),
+        ]
+        assert [r.exponents for r in s.inequations] == [(parse_poly("q-1"), IntPoly())]
+        assert s.relations == s.equations + s.inequations
 
     def test_empty_relation_list(self):
         s = parse_system("field GF(q^3); vars y")
