@@ -7,8 +7,6 @@ on each residue class modulo N (N = lcm of the gcd moduli).  This demo
 expands two functions into their tables.
 """
 
-from fractions import Fraction
-
 from porcfield import (
     IntPoly,
     parse_poly,
@@ -41,7 +39,7 @@ for r, poly in enumerate(table):
 # Three gcd terms with moduli 3, 4 and 5 force a table modulo 60.
 
 def scaled_gcd_term(coeff, shift, modulus, bound):
-    d = PorcExpression(Fraction(0), ((Fraction(coeff), shift, modulus),))
+    d = PorcExpression(0, ((coeff, shift, modulus),))
     return GcdPorcFunction(f=IntPoly([1]), d=d, m=bound)
 
 big = CountingFunction(

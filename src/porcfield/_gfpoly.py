@@ -3,16 +3,16 @@
 Polynomials are plain lists of ints in [0, p), ascending by degree, with no
 trailing zeros ([] is the zero polynomial).  Only the small-degree routines
 needed elsewhere in the package live here: multiplication, Euclid, modular
-powering, root extraction and an irreducibility test.  ``porc``'s modular
-root finding runs on them.  The field oracle uses only the irreducibility
-test, to pick its modulus; its GF(p^n) product is ``FieldContext.mul``.
+powering, root extraction and Ben-Or's irreducibility test.  ``porc``'s
+modular root finding runs on them.  The field oracle uses only the
+irreducibility test, to pick its modulus; its GF(p^n) product is
+``FieldContext.mul``.
 
 ``factorize`` is the one integer factorization in the package: trial
 division, the Baillie-PSW primality test and Pollard-Brent rho under
 ``FACTOR_STEP_CAP``.  It factors the modulus of ``porc``'s gcd fold, once
 ``_shrink_modulus`` has cut it down, and serves ``split_prime_power``,
-``make_field``'s primality check, the field oracle's generator test and
-``gf_is_irreducible``.
+``make_field``'s primality check and the field oracle's generator test.
 """
 
 from itertools import compress
@@ -319,27 +319,17 @@ def _charge(steps: int, more: int, n: int) -> int:
 
 
 def gf_is_irreducible(a: list[int], p: int) -> bool:
-    """Rabin irreducibility test for a monic polynomial over GF(p).
+    """Ben-Or's irreducibility test for a monic polynomial a over GF(p) (Ben-Or 1981).
 
-    A root at 0 or 1 (a(0) = 0 or a(1) = 0) rules out degree 2 and above
-    before any powering.
+    A reducible a of degree n has an irreducible factor of some degree i <= n/2,
+    which divides x^(p^i) - x, the product of the monic irreducibles of degree dividing i.
     """
     n = len(a) - 1
     if n <= 0:
         return False
-    if n == 1:
-        return True
-    if a[0] % p == 0 or sum(a) % p == 0:
-        return False
-    # x^(p^j) mod a, computed by iterating the Frobenius
-    def frob_iter(times: int) -> list[int]:
-        u = [0, 1]
-        for _ in range(times):
-            u = gf_pow_mod(u, p, a, p)
-        return u
-
-    for r in factorize(n):
-        u = frob_iter(n // r)
+    u = [0, 1]
+    for _ in range(n // 2):
+        u = gf_pow_mod(u, p, a, p)
         if gf_gcd(gf_sub(u, [0, 1], p), a, p) != [1]:
             return False
-    return frob_iter(n) == gf_divmod([0, 1], a, p)[1]
+    return True

@@ -11,16 +11,20 @@ The field oracle multiplies with ``FieldContext.mul``: the schoolbook
 product of two coefficient tuples, its high coefficients folded back with
 the rows t^(n+j) mod the modulus and reduced mod p once; ``pow`` is square
 and multiply on it.  The generator g is the first element whose order is
-the group order, and the cycle of g^beta is walked once, one literal
-multiplication per element, and read modulo its length.  One unknown per
+the group order N.  Every orbit goes through one walk, ``_orbit``: one
+literal multiplication per element, back at one within N products and
+never through zero.  The walk of g gives the discrete logs, and the walk
+of each g^beta its power cycle, read modulo its length.  One unknown per
 tuple is then resolved by a lookup in the longest cycle, and the rest of
 the relations are checked on the elements that lookup returns.  From
-``_gfpoly`` it takes only ``gf_is_irreducible``, which picks the modulus,
-and ``factorize``, for primality and the prime factors of the group order.
+``_gfpoly`` it takes only ``gf_is_irreducible`` (Ben-Or's test), which
+picks the modulus, and ``factorize``, for primality and the prime factors
+of the group order.
 ``count_at`` and the exponent oracle use none of this arithmetic.
 """
 
 from collections import Counter, defaultdict
+from contextlib import suppress
 from itertools import islice, product
 from math import gcd
 from operator import ne
@@ -108,13 +112,9 @@ def make_field(p: int, n: int) -> FieldContext:
         raise ValueError("extension degree must be at least 1")
     if p**n > MAX_TUPLES:
         raise ScaleCapError(f"field order {p ** n} exceeds MAX_TUPLES = {MAX_TUPLES}")
-    for lower in range(p**n):
-        coeffs = []
-        m = lower
-        for _ in range(n):
-            coeffs.append(m % p)
-            m //= p
-        candidate = tuple(coeffs) + (1,)
+    # reversed, so the constant term counts fastest: base-p counting order
+    for coeffs in product(range(p), repeat=n):
+        candidate = coeffs[::-1] + (1,)
         if gf_is_irreducible(list(candidate), p):
             return FieldContext(p, n, candidate)
     raise ConsistencyError(f"no irreducible polynomial of degree {n} over GF({p}) found")
@@ -128,6 +128,23 @@ def _position(p: int, a) -> int:
     return index
 
 
+def _orbit(field: FieldContext, h):
+    """The ``_position`` of 1, h, h^2, ... as ``field.mul`` computes them, until back at one.
+
+    A walk that reaches zero, or makes N = p^n - 1 products without a return, is faulty.
+    """
+    group = field.order - 1
+    y = field.one
+    for _ in range(group):
+        yield _position(field.p, y)
+        y = field.mul(y, h)
+        if y == field.one:
+            return
+        if y == field.zero:
+            raise ConsistencyError(f"the walk of the powers of {h} reached {y}, which has no log")
+    raise ConsistencyError(f"the walk of the powers of {h} did not close within {group} steps")
+
+
 def _discrete_logs(field: FieldContext) -> tuple[tuple[int, ...], list]:
     """(g, logs) for the first generator g of the multiplicative group.
 
@@ -135,22 +152,20 @@ def _discrete_logs(field: FieldContext) -> tuple[tuple[int, ...], list]:
     ``field.elements()`` (``_position``), and None for zero.  A candidate c
     generates the group of order N = p^n - 1 exactly when c^(N/r) != 1 for
     every prime r dividing N (Lidl and Niederreiter, *Finite Fields*);
-    candidates that fail are skipped.  The orbit of the first one left is
-    then walked from one by literal multiplication up to its first repeat.
-    A generator's orbit holds all N nonzero elements; a reducible modulus
-    can also give an orbit of that length through zero.
+    candidates that fail are skipped.  The first one left must walk its
+    ``_orbit`` through N distinct nonzero elements; a reducible modulus or a
+    faulty product fails that, and no other candidate is tried.
     """
     group = field.order - 1
     cofactors = [group // r for r in factorize(group)]
     for candidate in islice(field.elements(), 1, None):  # elements() yields zero first
         if all(field.pow(candidate, c) != field.one for c in cofactors):
             logs = [None] * field.order
-            x, log = field.one, 0
-            while logs[i := _position(field.p, x)] is None:
-                logs[i] = log
-                x, log = field.mul(x, candidate), log + 1
-            if log == group and logs[0] is None:
-                return candidate, logs
+            with suppress(ConsistencyError):
+                for log, i in enumerate(_orbit(field, candidate)):
+                    logs[i] = log
+                if logs.count(None) == 1:  # only zero, which the walk never reaches
+                    return candidate, logs
             break
     raise ConsistencyError(
         f"no generator of the multiplicative group of GF({field.p}^{field.n}) "
@@ -161,26 +176,13 @@ def _discrete_logs(field: FieldContext) -> tuple[tuple[int, ...], list]:
 def _power_cycle(field: FieldContext, logs: list, g, beta: int) -> list[int]:
     """[log(h^i) for i in range(L)], the cycle of h = g^beta of length L.
 
-    h is one literal ``field.pow``; each further element of its cycle is one
-    literal ``field.mul`` by h, until the walk is back at one.  Since
-    (g^i)^beta = h^i, entry i mod L is the log of (g^i)^beta.  A walk that
-    leaves the logs, does not close within N = p^n - 1 steps or closes on a
-    length that does not divide N is a faulty product.
+    h is one literal ``field.pow``, and its ``_orbit`` is read through the
+    logs.  Since (g^i)^beta = h^i, entry i mod L is the log of (g^i)^beta.
+    A walk that closes on a length that does not divide N = p^n - 1 is a
+    faulty product.
     """
     group = field.order - 1
-    h = field.pow(g, beta)
-    cycle = []
-    y = field.one
-    for _ in range(group):
-        log = logs[_position(field.p, y)]
-        if log is None:
-            raise ConsistencyError(f"the walk of g^{beta} reached {y}, which has no log")
-        cycle.append(log)
-        y = field.mul(y, h)
-        if y == field.one:
-            break
-    else:
-        raise ConsistencyError(f"the walk of g^{beta} did not close within {group} steps")
+    cycle = [logs[i] for i in _orbit(field, field.pow(g, beta))]
     if group % len(cycle):
         raise ConsistencyError(
             f"the walk of g^{beta} closed after {len(cycle)} steps, "

@@ -74,10 +74,7 @@ class GcdPorcFunction(Record):
 
     def value_at(self, x: int) -> int:
         """gcd(f_1(x), ..., f_s(x)) reconstructed from the closed form."""
-        v = porc_eval(self.d, x) * abs(self.f(x))
-        if v.denominator != 1:
-            raise ConsistencyError("non-integral gcd value")
-        return v.numerator
+        return porc_eval(self.d, x) * abs(self.f(x))
 
     def render(self, var: str = "q") -> str:
         f_str = self.f.render(var)
@@ -339,17 +336,8 @@ def porc_to_residue_table(cf) -> tuple[int, list[IntPoly]]:
         raise ScaleCapError(
             f"table of {modulus} residue classes exceeds TABLE_ROW_CAP = {TABLE_ROW_CAP}"
         )
-    table = []
-    for r in range(modulus):
-        coeffs: list[int] = []
-        for sign, g in cf.terms:
-            dval = sign * porc_eval(g.d, r)
-            fc = g.f.coeffs
-            if len(fc) > len(coeffs):
-                coeffs.extend([0] * (len(fc) - len(coeffs)))
-            for i, c in enumerate(fc):
-                coeffs[i] += dval * c
-        if any(c.denominator != 1 for c in coeffs):
-            raise ConsistencyError("residue-class polynomial has fractional coefficients")
-        table.append(IntPoly(tuple(c.numerator for c in coeffs)))
+    table = [
+        sum((g.f * (sign * porc_eval(g.d, r)) for sign, g in cf.terms), IntPoly())
+        for r in range(modulus)
+    ]
     return modulus, table

@@ -26,7 +26,7 @@ from porcfield import (
     split_prime_power,
     synthesize_counting_function,
 )
-from porcfield._gfpoly import gf_divmod, gf_mul, gf_pow_mod
+from porcfield._gfpoly import gf_divmod, gf_is_irreducible, gf_mul, gf_pow_mod
 from porcfield.cli import main
 
 
@@ -118,6 +118,19 @@ class TestMakeField:
         g, logs = ffield._discrete_logs(field)
         assert g == generator
         assert logs[ffield._position(p, generator)] == 1
+
+    @pytest.mark.parametrize("p,top", [(2, 6), (3, 4), (5, 4), (7, 4)])
+    def test_irreducibility_matches_trial_division(self, p, top):
+        # a monic a of degree n is irreducible exactly when no monic polynomial
+        # of degree 1..n/2 divides it
+        def monic(d):
+            return [list(c) + [1] for c in product(range(p), repeat=d)]
+
+        for n in range(1, top + 1):
+            divisors = [b for d in range(1, n // 2 + 1) for b in monic(d)]
+            for a in monic(n):
+                reducible = any(not gf_divmod(a, b, p)[1] for b in divisors)
+                assert gf_is_irreducible(a, p) is not reducible, (p, a)
 
 
 class TestFieldArithmetic:
@@ -214,6 +227,22 @@ class TestPowerTable:
             ffield._power_cycle(field, logs, g, 3)
         # the walk's 24 products and at most two per bit of 3 for h
         assert len(calls) <= 24 + 4
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_generator_walk_must_close_at_one(self, monkeypatch, n):
+        field = make_field(2, n)
+        true_mul = ffield.FieldContext.mul
+
+        # where the product should be one it comes out as b: the first
+        # candidate, (0, 1) or (0, 0, 1), still passes the power test, but its
+        # walk falls back onto it after N distinct elements and never closes
+        def never_one(self, a, b):
+            value = true_mul(self, a, b)
+            return b if value == self.one else value
+
+        monkeypatch.setattr(ffield.FieldContext, "mul", never_one)
+        with pytest.raises(ConsistencyError, match="no generator"):
+            ffield._discrete_logs(field)
 
     def test_every_cycle_follows_the_exponent_rule(self):
         # in each field of order up to 256 the literal walk of h = g^beta is

@@ -445,7 +445,7 @@ class TestPorcEval:
 
 class TestResidueTable:
     def test_parity_times_quadratic(self):
-        g = GcdPorcFunction(f=P("q^2-q"), d=expr(0, (1, 1, 2)), m=2)
+        g = GcdPorcFunction(f=P("q^2-q"), d=PorcExpression(0, ((1, 1, 2),)), m=2)
         modulus, table = porc_to_residue_table(CountingFunction(((1, g),)))
         assert modulus == 2
         assert table[0] == P("q^2-q")
@@ -456,7 +456,8 @@ class TestResidueTable:
         assert porc_to_residue_table(CountingFunction(((1, g),))) == (1, [IntPoly([5])])
 
     def test_row_cap_raises_before_any_row(self, monkeypatch):
-        cf = CountingFunction(((1, GcdPorcFunction(f=P("q^2-q"), d=expr(0, (1, 1, 2)), m=2)),))
+        g = GcdPorcFunction(f=P("q^2-q"), d=PorcExpression(0, ((1, 1, 2),)), m=2)
+        cf = CountingFunction(((1, g),))
         monkeypatch.setattr(porc, "TABLE_ROW_CAP", 1)
         monkeypatch.setattr(porc, "porc_eval", lambda *a: pytest.fail("built a row"))
         with pytest.raises(ScaleCapError, match="table of 2 residue classes exceeds TABLE_ROW_CAP"):
