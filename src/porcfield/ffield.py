@@ -4,8 +4,10 @@ Two structurally different ground truths for solution counts: literal
 enumeration of field-element tuples in an explicitly constructed GF(p^n),
 and a meet-in-the-middle count of the exponent tuples solving the
 corresponding linear congruences mod q^n - 1.  Neither oracle uses the
-relation matrix, its minors, the gcd synthesis or the Smith normal form;
-both read the parsed system and evaluate its exponents with ``IntPoly``.
+relation matrix, its minors, the gcd synthesis or the Smith normal form.
+Both start at one front end, ``_residues``: it refuses q < 2 and more than
+``MAX_TUPLES`` tuples without factoring q, then evaluates each exponent of
+the parsed system as written with ``IntPoly`` and takes it mod q^n - 1.
 
 The field oracle multiplies with ``FieldContext.mul``: the schoolbook
 product of two coefficient tuples, its high coefficients folded back with
@@ -196,6 +198,16 @@ def _log_sum(cycles, combo) -> int:
     return sum([cycle[x % len(cycle)] for cycle, x in zip(cycles, combo)])
 
 
+def _residues(system: MonomialSystem, q0: int, kind: str) -> tuple[int, list[list[int]]]:
+    """(N, rows): N = q0^n - 1 and each relation's exponents at q0 mod N, equations first."""
+    if _int(q0, "q") < 2:
+        raise ValueError("q must be at least 2")
+    group = q0**system.n - 1
+    if group**system.k > MAX_TUPLES:
+        raise ScaleCapError(f"{group}^{system.k} {kind} tuples exceed MAX_TUPLES = {MAX_TUPLES}")
+    return group, [[poly(q0) % group for poly in rel.exponents] for rel in system.relations]
+
+
 def brute_force_count(system: MonomialSystem, q0: int) -> int:
     """Count solutions by enumerating tuples of nonzero field elements.
 
@@ -216,25 +228,18 @@ def brute_force_count(system: MonomialSystem, q0: int) -> int:
     admits every position of the last unknown.  ``MAX_TUPLES`` is checked
     before q0 is factored, and a system without relations builds no field.
     """
-    group = _int(q0, "q") ** system.n - 1
-    if group**system.k > MAX_TUPLES:
-        raise ScaleCapError(
-            f"{group}^{system.k} field tuples exceed MAX_TUPLES = {MAX_TUPLES}"
-        )
+    group, rows = _residues(system, q0, "field")
     k = system.k
     p, e = split_prime_power(q0)
-    checks = []  # (want_eq, one power cycle per unknown) per relation
-    if system.relations:  # with no relation, nothing reads the field
+    cycles = {}  # beta -> its power cycle, walked once, in first-appearance order
+    if rows:  # with no relation, nothing reads the field
         field = make_field(p, e * system.n)
         g, logs = _discrete_logs(field)
-        cycles = {}  # beta -> its power cycle, walked once
-        for want_eq, rels in ((True, system.equations), (False, system.inequations)):
-            for rel in rels:
-                betas = [poly(q0) % group for poly in rel.exponents]
-                for beta in betas:
-                    if beta not in cycles:
-                        cycles[beta] = _power_cycle(field, logs, g, beta)
-                checks.append((want_eq, [cycles[beta] for beta in betas]))
+        betas = dict.fromkeys(beta for row in rows for beta in row)
+        cycles = {beta: _power_cycle(field, logs, g, beta) for beta in betas}
+    # (want_eq, one power cycle per unknown) per relation
+    n_eq = len(system.equations)
+    checks = [(r < n_eq, [cycles[beta] for beta in row]) for r, row in enumerate(rows)]
     # (minus the cycle length, equation, unknown): the longest cycle prunes most
     pairs = [
         (-len(row[j]), r, j)
@@ -280,16 +285,9 @@ def exponent_space_count(system: MonomialSystem, q0: int) -> int:
     and nonzero in every inequation coordinate.  ``MAX_TUPLES`` still counts
     the (q0^n - 1)^k tuples this covers, not histogram entries.
     """
-    if _int(q0, "q") < 2:
-        raise ValueError("q must be at least 2")
-    modulus = q0**system.n - 1
-    if modulus**system.k > MAX_TUPLES:
-        raise ScaleCapError(
-            f"{modulus}^{system.k} exponent tuples exceed MAX_TUPLES = {MAX_TUPLES}"
-        )
+    modulus, rows = _residues(system, q0, "exponent")
     # equations first, so each residue vector starts with its equation coordinates
     n_eq = len(system.equations)
-    rows = [[poly(q0) % modulus for poly in rel.exponents] for rel in system.relations]
 
     def step(i):
         # residue vectors of m * v over m in Z_modulus, for unknown i's column v:

@@ -43,10 +43,6 @@ def _decimal(value, field: str) -> int:
     return int(value)
 
 
-def poly_to_list(p: IntPoly) -> list[int]:
-    return list(p.coeffs)
-
-
 def poly_from_list(coeffs) -> IntPoly:
     coeffs = _container(coeffs, list, "f")
     return IntPoly(tuple(_int(c, f"coefficient {i}") for i, c in enumerate(coeffs)))
@@ -76,7 +72,7 @@ def porc_from_dict(data: dict) -> PorcExpression:
 
 
 def gcd_function_to_dict(g: GcdPorcFunction) -> dict:
-    return {"f": poly_to_list(g.f), "d": porc_to_dict(g.d), "m": g.m}
+    return {"f": list(g.f.coeffs), "d": porc_to_dict(g.d), "m": g.m}
 
 
 def gcd_function_from_dict(data: dict) -> GcdPorcFunction:
@@ -109,4 +105,4 @@ def counting_function_from_dict(data: dict) -> CountingFunction:
 
 
 def table_to_dict(modulus: int, polys) -> dict:
-    return {"modulus": modulus, "classes": [poly_to_list(p) for p in polys]}
+    return {"modulus": modulus, "classes": [list(p.coeffs) for p in polys]}

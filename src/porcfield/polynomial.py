@@ -167,7 +167,7 @@ def content_and_primitive(p: IntPoly) -> tuple[int, IntPoly]:
         c = gcd(c, a)
     if p.leading < 0:
         c = -c
-    return c, IntPoly(tuple(a // c for a in p.coeffs))
+    return c, _scale_down(p, c)
 
 
 def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly, int]:

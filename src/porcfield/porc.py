@@ -32,7 +32,7 @@ from math import gcd, lcm
 from ._gfpoly import factorize, gf_eval, gf_from_coeffs, gf_roots
 from ._record import Record
 from .errors import ConsistencyError, ScaleCapError
-from .polynomial import IntPoly, _ext_euclid, _signed_sum, content_and_primitive
+from .polynomial import IntPoly, _ext_euclid, _scale_down, _signed_sum, content_and_primitive
 
 # Not called here; the benchmark's tracer wraps porcfield.porc.bezout_cofactors.
 from .polynomial import bezout_cofactors  # noqa: F401
@@ -269,6 +269,7 @@ def synthesize_gcd_function(fs, fold: tuple[IntPoly, int] | None = None) -> GcdP
     value_at(x) == gcd of the family values for every x with f(x) != 0.
     A caller that has already folded the family passes its (f, m) as fold:
     the family's primitive gcd f and a modulus m >= 1 with m*f in its ideal.
+    Nothing checks m, so a wrong (f, m) gives a wrong closed form.
 
     d is built as a dict {(modulus, shift): coeff}, with alpha under (1, 0).
     It starts as the family content gamma and is multiplied through CRT by
@@ -287,7 +288,7 @@ def synthesize_gcd_function(fs, fold: tuple[IntPoly, int] | None = None) -> GcdP
             raise ConsistencyError("the polynomial gcd does not divide every member") from exc
     gamma = gcd(*(c for h in hs for c in h.coeffs))
     if gamma > 1:
-        hs = [IntPoly(tuple(c // gamma for c in h.coeffs)) for h in hs]
+        hs = [_scale_down(h, gamma) for h in hs]
     if m0 % gamma:
         raise ConsistencyError("family content does not divide the modulus")
     d = {(1, 0): gamma}

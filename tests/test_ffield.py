@@ -395,6 +395,17 @@ class TestExponentSpace:
         assert str(info.value) == "8^2 exponent tuples exceed MAX_TUPLES = 63"
 
 
+@pytest.mark.parametrize(
+    "oracle", [brute_force_count, exponent_space_count], ids=["field", "exponent"]
+)
+@pytest.mark.parametrize("q0", [0, 1])
+def test_both_oracles_refuse_q_below_two(quadratic_system, oracle, q0):
+    # one front end reads q for both, before the field oracle factors it
+    with pytest.raises(ValueError) as info:
+        oracle(quadratic_system, q0)
+    assert str(info.value) == "q must be at least 2"
+
+
 def test_oracles_agree_on_corpus(corpus):
     for name, system in corpus.items():
         for q0 in (2, 3, 4, 5, 7, 8, 9):
